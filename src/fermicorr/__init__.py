@@ -7,10 +7,6 @@ from .amplitudes import (
     OutOfRegimeError,
     PerturbativeAmplitudes,
     XStateCoefficients,
-    amp_exchange,
-    amp_radiative,
-    amp_single_photon,
-    amp_two_photon,
     assemble,
     compute_amplitudes,
     two_point,
@@ -63,10 +59,6 @@ __all__ = [
     "PerturbativeAmplitudes",
     "StateValidationError",
     "XStateCoefficients",
-    "amp_exchange",
-    "amp_radiative",
-    "amp_single_photon",
-    "amp_two_photon",
     "assemble",
     "bell_chsh",
     "bell_opt",

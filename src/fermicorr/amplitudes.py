@@ -6,37 +6,45 @@ dimensionless time (xi = 1 is the light cone), ``coupling`` the dimensionless
 qubit-line coupling K, and ``cutoff`` the UV scale omega_c/Omega of the
 exponential mode regularization exp(-k/omega_c).
 
+All five amplitudes are double-time integrals of the regularized two-point
+function, reduced exactly to the time difference and evaluated with one
+composite Gauss-Legendre rule graded geometrically toward the eps-wide
+light-cone peak, so its accuracy does not depend on the cutoff. The mode-sum
+evaluation of the emission weights and the pair coherence lives in
+:mod:`fermicorr.oracles` as an independent check.
+
 Each amplitude is linear (or, for the two-photon weight, quadratic) in the
 coupling, so internally the reduced coupling-free integrals are cached per
-(time, separation, cutoff, node budget) and rescaled on the way out. A sweep
-over many couplings therefore pays for the quadrature once.
+(time, separation, cutoff, node budget) in a bounded cache and rescaled on
+the way out. A sweep over many couplings therefore pays for the quadrature
+once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .states import POSITIVITY_ATOL
+
 DEFAULT_CUTOFF = 300.0
 DEFAULT_QUAD_POINTS = 256
 
-# Half-width (in units of 1/cutoff) of the quadrature panel wrapped around
-# the light-cone peak of the two-point function.
-_POLE_PANEL_HALF_WIDTH = 12.0
-# Mode integrals run over k in (0, 40*cutoff); panel width resolves the
-# slowest oscillation period of the integrands (>= 2*pi/2.4 here).
-_MODE_RANGE = 40.0
-_MODE_PANEL_WIDTH = 0.6
-_MODE_PANEL_ORDER = 8
-_MODE_REFINE_ROUNDS = 3
-_MODE_REFINE_RTOL = 1e-9
+# Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k.
+_PANEL_GROWTH = 4.0
+_MIN_PANEL_NODES = 8
+# Cached reduced amplitudes: room for the 401-point default sweep grid at a
+# few (cutoff, node budget) pairs, so every coupling block after the first
+# reuses the quadrature.
+_AMPLITUDE_CACHE_SIZE = 2048
 
 
 class OutOfRegimeError(ValueError):
-    """Second-order truncation broke down (vacuum-sector population <= 0)."""
+    """Second-order truncation broke down (vacuum-sector population <= 0, or
+    an assembled state that is not positive semidefinite)."""
 
 
 @dataclass(frozen=True)
@@ -50,12 +58,12 @@ class ModelParams:
     include_two_photon: bool = True
 
     def __post_init__(self):
-        if not self.r_bar > 0:
-            raise ValueError(f"r_bar must be > 0, got {self.r_bar}")
-        if not self.coupling >= 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-        if not self.cutoff >= 10:
-            raise ValueError(f"cutoff must be >= 10, got {self.cutoff}")
+        if not 0 < self.r_bar < math.inf:
+            raise ValueError(f"r_bar must be finite and > 0, got {self.r_bar}")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
+        if not 10 <= self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be finite and >= 10, got {self.cutoff}")
         if not self.quad_points >= 32:
             raise ValueError(f"quad_points must be >= 32, got {self.quad_points}")
 
@@ -83,17 +91,6 @@ class PerturbativeAmplitudes:
     pair_coherence: complex
     g2: float
     two_photon_enabled: bool
-
-
-class SinglePhotonAmplitudes(NamedTuple):
-    u2: float
-    v2: float
-    pair_coherence: complex
-
-
-class TwoPhotonWeight(NamedTuple):
-    g2: float
-    enabled: bool
 
 
 @dataclass(frozen=True)
@@ -128,45 +125,41 @@ def _leggauss(n: int):
     return leggauss(n)
 
 
-@lru_cache(maxsize=None)
 def _delta_nodes(tau: float, pole: float, cutoff: float, n: int):
     """Composite Gauss-Legendre rule on [0, tau] for the time-difference axis.
 
-    Panels are graded around ``pole`` (the light-cone separation, or 0 for
-    the equal-position kernel) so the eps-wide peak of the two-point function
-    is resolved at any cutoff; ``n`` is the total node budget.
+    The two-point function peaks in an eps-wide window at ``pole`` (the
+    light-cone separation, or 0 for the equal-position kernel). With the pole
+    first clipped into [0, tau], panels end at the pole and at
+    pole +- eps*4**k, so their widths grow geometrically away from the peak.
+    The node budget ``n`` is split evenly over the panels (at least 8 per
+    panel), which keeps the accuracy of the rule independent of the cutoff.
     """
     eps = 1.0 / cutoff
-    half = _POLE_PANEL_HALF_WIDTH * eps
-    cuts = [0.0]
-    for p in (pole - half, pole + half):
-        if 0.0 < p < tau:
-            cuts.append(p)
-    cuts.append(tau)
-    cuts = sorted(set(cuts))
-    share = np.array(
-        [3.0 if abs(0.5 * (a + b) - pole) <= half else 1.0 for a, b in zip(cuts[:-1], cuts[1:])]
-    )
-    counts = np.maximum(8, (n * share / share.sum()).astype(int))
-    nodes, weights = [], []
-    for (a, b), m in zip(zip(cuts[:-1], cuts[1:]), counts):
-        x, w = _leggauss(int(m))
-        nodes.append(0.5 * (b - a) * (x + 1.0) + a)
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    pole = min(max(pole, 0.0), tau)
+    cuts = {0.0, pole, tau}
+    step = eps
+    while step < max(pole, tau - pole):
+        cuts.update(c for c in (pole - step, pole + step) if 0.0 < c < tau)
+        step *= _PANEL_GROWTH
+    cuts = np.array(sorted(cuts))
+    x, w = _leggauss(max(_MIN_PANEL_NODES, n // (len(cuts) - 1)))
+    half = 0.5 * np.diff(cuts)[:, None]
+    return (cuts[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-@lru_cache(maxsize=None)
-def _reduced_time_amplitudes(tau: float, r_bar: float, cutoff: float, n: int):
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _reduced_amplitudes(tau: float, r_bar: float, cutoff: float, n: int):
     """Coupling-free double-time integrals, reduced to the difference variable.
 
     For integrands f(t1 - t2) on the square [0, tau]^2 the exact reduction is
     int_{-tau}^{tau} (tau - |d|) f(d) dd; for the pair amplitude the sum
-    variable integrates in closed form. Returns (exchange, re_a, pair) at
-    unit coupling.
+    variable integrates in closed form. The emission weights share the
+    zero-separation nodes of re_a, so u2 + v2 = -2 re_a node by node.
+    Returns (exchange, re_a, pair, u2, v2) at unit coupling.
     """
     if tau <= 0.0:
-        return 0.0j, 0.0, 0.0j
+        return 0.0j, 0.0, 0.0j, 0.0, 0.0
     d, wd = _delta_nodes(tau, r_bar, cutoff, n)
     wr = two_point(r_bar, d, cutoff)
     exchange = complex(0.5 * np.sum(wd * (tau - d) * np.cos(d) * wr))
@@ -175,158 +168,39 @@ def _reduced_time_amplitudes(tau: float, r_bar: float, cutoff: float, n: int):
         * np.sum(wd * wr.real * (np.exp(1j * (2.0 * tau - d)) - np.exp(1j * d)))
     )
     d0, wd0 = _delta_nodes(tau, 0.0, cutoff, n)
-    w0 = two_point(0.0, d0, cutoff)
-    re_a = float(-0.5 * np.sum(wd0 * (tau - d0) * np.cos(d0) * w0.real))
-    return exchange, re_a, pair
-
-
-@lru_cache(maxsize=8)
-def _mode_grid(r_bar: float, cutoff: float, width: float):
-    """Static per-grid arrays: nodes, weighted envelope, resonant
-    denominators and the separation phase."""
-    kmax = _MODE_RANGE * cutoff
-    npan = int(np.ceil(kmax / width))
-    cuts = np.linspace(0.0, kmax, npan + 1)
-    x, w = _leggauss(_MODE_PANEL_ORDER)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
-    om = (mid + half * x[None, :]).ravel()
-    ww = (half * w[None, :]).ravel()
-    base = om * np.exp(-om / cutoff) * ww
-    # Gauss nodes never land exactly on the resonance om = 1
-    inv_m = 1.0 / (om - 1.0)
-    inv_p = 1.0 / (om + 1.0)
-    return om, base, inv_m, inv_p, np.cos(om * r_bar)
-
-
-def _mode_integrals_once(tau: float, r_bar: float, cutoff: float, width: float):
-    om, base, inv_m, inv_p, cos_r = _mode_grid(r_bar, cutoff, width)
-    # per-mode emission amplitudes |M|^2 = 4 sin^2((om-1) tau/2)/(om-1)^2 etc.,
-    # built from one trig pair via angle addition
-    s = np.sin(0.5 * tau * om)
-    c = np.cos(0.5 * tau * om)
-    ch, sh = np.cos(0.5 * tau), np.sin(0.5 * tau)
-    sin_m = s * ch - c * sh
-    sin_p = s * ch + c * sh
-    u2 = float(2.0 * np.sum(base * sin_m**2 * inv_m**2))
-    v2 = float(2.0 * np.sum(base * sin_p**2 * inv_p**2))
-    # P conj(M) = [(e^{i tau} - 1)^2 + 4 e^{i tau} sin^2(om tau/2)] / ((om+1)(om-1));
-    # the numerator must stay fused so its zero at om = 1 cancels per node
-    eit = np.exp(1j * tau)
-    numer = (eit - 1.0) ** 2 + 4.0 * eit * s**2
-    pair_mode = complex(0.5 * np.sum(base * cos_r * inv_m * inv_p * numer))
-    return u2, v2, pair_mode
-
-
-@lru_cache(maxsize=None)
-def _reduced_mode_integrals(tau: float, r_bar: float, cutoff: float):
-    """Coupling-free mode integrals (u2, v2, pair) with doubling refinement."""
-    if tau <= 0.0:
-        return 0.0, 0.0, 0.0j
-    width = _MODE_PANEL_WIDTH
-    prev = _mode_integrals_once(tau, r_bar, cutoff, width)
-    for _ in range(_MODE_REFINE_ROUNDS):
-        width *= 0.5
-        cur = _mode_integrals_once(tau, r_bar, cutoff, width)
-        scale = max(abs(prev[0]), abs(prev[1]), abs(prev[2]), 1e-30)
-        err = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]), abs(cur[2] - prev[2]))
-        prev = cur
-        if err <= _MODE_REFINE_RTOL * scale:
-            break
-    return prev
-
-
-def amp_exchange(p: ModelParams, xi: float) -> complex:
-    """Photon-exchange amplitude at dimensionless time xi.
-
-    Double-time integral of exp(i(t1-t2)) times the time-ordered two-point
-    function at separation r_bar (time ordering realized as w(r_bar, |t1-t2|)),
-    scaled by coupling/4.
-    """
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
-    ex, _, _ = _reduced_time_amplitudes(xi * p.r_bar, p.r_bar, p.cutoff, p.quad_points)
-    return p.coupling * ex
-
-
-def amp_radiative(p: ModelParams, xi: float) -> float:
-    """Real part of the intra-qubit radiative correction (norm loss, <= 0).
-
-    Same double-time quadrature as the exchange amplitude but at zero
-    separation, with the rotating and counter-rotating phase factors averaged
-    into cos(t1 - t2).
-    """
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
-    _, re_a, _ = _reduced_time_amplitudes(xi * p.r_bar, p.r_bar, p.cutoff, p.quad_points)
-    return p.coupling * re_a
-
-
-def amp_single_photon(p: ModelParams, xi: float) -> SinglePhotonAmplitudes:
-    """Single-photon emission weights and the two-qubit pair coherence.
-
-    u2 and v2 are mode integrals of the squared per-mode emission amplitudes
-    with rotating (exp(-it')) and counter-rotating (exp(+it')) phases; the
-    pair coherence is the un-time-ordered double-time integral of the
-    two-point function with phase exp(i(t1 + t2)).
-    """
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
-    tau = xi * p.r_bar
-    u2_1, v2_1, _ = _reduced_mode_integrals(tau, p.r_bar, p.cutoff)
-    _, _, pair_1 = _reduced_time_amplitudes(tau, p.r_bar, p.cutoff, p.quad_points)
-    return SinglePhotonAmplitudes(
-        u2=p.coupling * u2_1, v2=p.coupling * v2_1, pair_coherence=p.coupling * pair_1
-    )
-
-
-def amp_single_photon_time_route(p: ModelParams, xi: float) -> tuple[float, float]:
-    """Emission weights via the normal-ordered double-time integrals.
-
-    Independent of the mode-integral route in :func:`amp_single_photon`;
-    the two must agree to quadrature accuracy.
-    """
-    tau = xi * p.r_bar
-    if tau <= 0.0:
-        return 0.0, 0.0
-    d, wd = _delta_nodes(tau, 0.0, p.cutoff, p.quad_points)
-    w0 = two_point(0.0, d, p.cutoff)
-    u2 = 0.5 * np.sum(wd * (tau - d) * (np.exp(1j * d) * w0).real)
-    v2 = 0.5 * np.sum(wd * (tau - d) * (np.exp(-1j * d) * w0).real)
-    return float(p.coupling * u2), float(p.coupling * v2)
-
-
-def amp_two_photon(p: ModelParams, xi: float) -> TwoPhotonWeight:
-    """Weight of the two-photon emission sector.
-
-    The mode-resolved two-photon amplitude factorizes into the product of
-    single-photon emission amplitudes plus an interference term equal to the
-    squared pair coherence, so g2 = u2*v2 + |pair|^2 (both pieces quadratic
-    in the coupling). Returns 0 flagged as disabled when the params switch
-    it off.
-    """
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
-    if not p.include_two_photon:
-        return TwoPhotonWeight(g2=0.0, enabled=False)
-    u2_1, v2_1, pair_1 = _reduced_mode_integrals(xi * p.r_bar, p.r_bar, p.cutoff)
-    g2 = p.coupling**2 * (u2_1 * v2_1 + abs(pair_1) ** 2)
-    return TwoPhotonWeight(g2=g2, enabled=True)
+    kernel = wd0 * (tau - d0) * two_point(0.0, d0, cutoff)
+    re_a = float(-0.5 * np.sum(np.cos(d0) * kernel.real))
+    u2 = float(0.5 * np.sum((np.exp(1j * d0) * kernel).real))
+    v2 = float(0.5 * np.sum((np.exp(-1j * d0) * kernel).real))
+    return exchange, re_a, pair, u2, v2
 
 
 def compute_amplitudes(p: ModelParams, xi: float) -> PerturbativeAmplitudes:
-    """All second-order amplitudes at one (xi, coupling) point."""
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
-    tau = xi * p.r_bar
+    """All second-order amplitudes at one (xi, coupling) point.
+
+    With tau = xi * r_bar and w the two-point function, the amplitudes are
+    double-time integrals over [0, tau]^2:
+
+        exchange        X    = (K/4)  int int e^{i(t1-t2)}  w(r_bar, |t1-t2|)
+        radiative       re_A = -(K/4) int int cos(t1-t2) Re w(0, |t1-t2|)
+        pair coherence  L    = -(K/4) int int e^{i(t1+t2)}  w(r_bar, t1-t2)
+        emission        u2   = (K/4)  int int e^{i(t1-t2)}  w(0, t1-t2)
+                        v2   = (K/4)  int int e^{-i(t1-t2)} w(0, t1-t2)
+
+    u2 and v2 are the normal-ordered forms of the mode integrals
+    2K int_0^inf k e^{-k/cutoff} sin^2((k -+ 1) tau/2) / (k -+ 1)^2 dk.
+    The mode-resolved two-photon amplitude factorizes into the product of
+    single-photon emission amplitudes plus an interference term equal to the
+    squared pair coherence, so g2 = u2*v2 + |L|^2; it is 0, flagged as
+    disabled, when the params switch it off.
+    """
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ValueError(f"xi must be finite and >= 0, got {xi}")
     k = p.coupling
-    ex_1, re_a_1, pair_1 = _reduced_time_amplitudes(tau, p.r_bar, p.cutoff, p.quad_points)
-    u2_1, v2_1, pair_mode_1 = _reduced_mode_integrals(tau, p.r_bar, p.cutoff)
-    if p.include_two_photon:
-        g2 = k * k * (u2_1 * v2_1 + abs(pair_mode_1) ** 2)
-        enabled = True
-    else:
-        g2, enabled = 0.0, False
+    ex_1, re_a_1, pair_1, u2_1, v2_1 = _reduced_amplitudes(
+        xi * p.r_bar, p.r_bar, p.cutoff, p.quad_points
+    )
+    g2 = k * k * (u2_1 * v2_1 + abs(pair_1) ** 2) if p.include_two_photon else 0.0
     return PerturbativeAmplitudes(
         xi=xi,
         re_a=k * re_a_1,
@@ -335,7 +209,7 @@ def compute_amplitudes(p: ModelParams, xi: float) -> PerturbativeAmplitudes:
         v2=k * v2_1,
         pair_coherence=k * pair_1,
         g2=g2,
-        two_photon_enabled=enabled,
+        two_photon_enabled=p.include_two_photon,
     )
 
 
@@ -346,8 +220,10 @@ def assemble(
 
     Returns the unnormalized coefficients (with their sum c) and the
     c-normalized 4x4 matrix. Raises :class:`OutOfRegimeError` when the
-    vacuum-sector population 1 + 2*re_a is not positive, which signals a
-    coupling too strong for the second-order truncation at this time.
+    vacuum-sector population 1 + 2*re_a is not positive, or when the smaller
+    eigenvalue of either 2x2 X-block of the normalized state is below
+    -POSITIVITY_ATOL; both signal a coupling too strong for the second-order
+    truncation at this time.
     """
     rho11 = amps.v2
     rho22 = 1.0 + 2.0 * amps.re_a
@@ -361,6 +237,15 @@ def assemble(
     rho14 = np.conj(amps.pair_coherence)
     rho23 = np.conj(amps.exchange)
     c = rho11 + rho22 + rho33 + rho44
+    min_eig = min(
+        0.5 * (a + b) - math.hypot(0.5 * (a - b), abs(z))
+        for a, b, z in ((rho11, rho44, rho14), (rho22, rho33, rho23))
+    ) / c
+    if min_eig < -POSITIVITY_ATOL:
+        raise OutOfRegimeError(
+            f"state not positive: min eigenvalue = {min_eig:.3e} at xi = {amps.xi:g}, "
+            f"coupling = {p.coupling:g}: second-order truncation invalid"
+        )
     coeffs = XStateCoefficients(
         rho11=rho11, rho22=rho22, rho33=rho33, rho44=rho44,
         rho14=complex(rho14), rho23=complex(rho23), c=c,

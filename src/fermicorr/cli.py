@@ -70,7 +70,6 @@ class SweepSpec:
     xi_steps: int
     couplings: tuple
     params: ModelParams
-    output_path: str = "sweep.csv"
 
     def __post_init__(self):
         if not (0.0 <= self.xi_min < self.xi_max):
@@ -234,13 +233,15 @@ FIG5_COLUMNS = ("xi", "K", "bell_chsh", "bell_opt", "bell_classical")
 
 
 def figures(out_dir: str, spec: SweepSpec) -> list[str]:
-    """Emit fig1.csv / fig4.csv / fig5.csv plot-ready datasets into out_dir.
+    """Emit fig1.csv / fig4.csv / fig5.csv plot-ready datasets into out_dir,
+    creating it if needed.
 
     fig1: the three correlation measures vs xi for the given couplings.
     fig4: the same measures on a denser coupling grid (surface data).
     fig5: both Bell parameters vs xi plus the classical threshold column.
     """
     rows = run_sweep(spec)
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
     path = os.path.join(out_dir, "fig1.csv")
     write_csv(path, FIG1_COLUMNS, rows)
@@ -344,10 +345,9 @@ def main(argv=None) -> int:
                 xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
                 couplings=_couplings(args),
                 params=_model_params(args, _couplings(args)[0]),
-                output_path=args.out,
             )
-            write_csv(spec.output_path, SWEEP_HEADER, run_sweep(spec))
-            print(f"wrote {spec.output_path}")
+            write_csv(args.out, SWEEP_HEADER, run_sweep(spec))
+            print(f"wrote {args.out}")
             return 0
         if args.command == "state":
             params = _model_params(args, _couplings(args)[0])

@@ -14,8 +14,6 @@ from fermicorr import (
     BELL_TSIRELSON,
     DirectionGrid,
     ModelParams,
-    amp_radiative,
-    amp_single_photon,
     assemble,
     compute_amplitudes,
     connected_correlation,
@@ -28,6 +26,7 @@ from fermicorr import (
     sqrt_discord_xstate,
 )
 from fermicorr.cli import DEFAULT_COUPLINGS, DEFAULT_R_BAR, oracle_check
+from fermicorr.oracles import mode_sum_amplitudes
 
 from conftest import sweep_block
 
@@ -173,14 +172,18 @@ def test_criterion_07_bell_behavior(default_sweep):
 
 
 def test_criterion_08_unitarity():
-    """Emission weights and radiative correction cancel to second order."""
+    """Emission weights and radiative correction cancel to second order.
+
+    The time-difference route makes u2 + v2 = -2 re_A node by node, so the
+    emission weights come from the independent mode-sum oracle.
+    """
     worst = 0.0
     for coupling in (0.05, 0.1, 0.2):
         p = ModelParams(r_bar=DEFAULT_R_BAR, coupling=coupling, cutoff=50.0, quad_points=256)
         bound = 0.5 * coupling**2
         for xi in np.linspace(0.0, 2.0, 21):
-            sp = amp_single_photon(p, xi)
-            resid = abs(sp.u2 + sp.v2 + 2.0 * amp_radiative(p, xi))
+            u2, v2, _ = mode_sum_amplitudes(p, xi)
+            resid = abs(u2 + v2 + 2.0 * compute_amplitudes(p, xi).re_a)
             worst = max(worst, resid / bound)
     ok = worst <= 1.0
     _verdict(8, "unitarity", ok, f"max |u2+v2+2reA| / (K^2/2) = {worst:.2e}")
@@ -188,22 +191,23 @@ def test_criterion_08_unitarity():
 
 
 def test_criterion_09_quadrature_convergence():
-    """Node-doubling stability plus the coupling power laws."""
+    """Node-doubling stability at several cutoffs plus the coupling power laws."""
     spots = (0.2, 0.45, 0.7, 0.9, 1.0, 1.1, 1.35, 1.6, 1.8, 2.0)
-    p256 = ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.04, quad_points=256)
-    p512 = ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.04, quad_points=512)
     worst = 0.0
-    for xi in spots:
-        a, b = compute_amplitudes(p256, xi), compute_amplitudes(p512, xi)
-        for va, vb in (
-            (a.exchange, b.exchange),
-            (a.re_a, b.re_a),
-            (a.pair_coherence, b.pair_coherence),
-            (a.u2, b.u2),
-            (a.v2, b.v2),
-            (a.g2, b.g2),
-        ):
-            worst = max(worst, abs(va - vb) / abs(vb))
+    for cutoff in (300.0, 1000.0, 3000.0):
+        p256 = ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.04, cutoff=cutoff, quad_points=256)
+        p512 = ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.04, cutoff=cutoff, quad_points=512)
+        for xi in spots:
+            a, b = compute_amplitudes(p256, xi), compute_amplitudes(p512, xi)
+            for va, vb in (
+                (a.exchange, b.exchange),
+                (a.re_a, b.re_a),
+                (a.pair_coherence, b.pair_coherence),
+                (a.u2, b.u2),
+                (a.v2, b.v2),
+                (a.g2, b.g2),
+            ):
+                worst = max(worst, abs(va - vb) / abs(vb))
     scaling_ok = True
     lo = compute_amplitudes(ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.03), 1.3)
     hi = compute_amplitudes(ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.06), 1.3)

@@ -11,19 +11,13 @@ from fermicorr import (
     ModelParams,
     OutOfRegimeError,
     PerturbativeAmplitudes,
-    amp_exchange,
-    amp_radiative,
-    amp_single_photon,
-    amp_two_photon,
     assemble,
     compute_amplitudes,
     two_point,
     validate_state,
 )
-from fermicorr.amplitudes import (
-    CSV_AMPLITUDE_HEADER,
-    amp_single_photon_time_route,
-)
+from fermicorr.amplitudes import CSV_AMPLITUDE_HEADER
+from fermicorr.oracles import mode_sum_amplitudes
 
 R_BAR = math.pi / 4.0
 
@@ -70,23 +64,24 @@ def test_two_point_matches_mode_sum():
 # ---------------------------------------------------------------------------
 
 def test_all_amplitudes_vanish_at_xi_zero():
-    p = params()
-    assert amp_exchange(p, 0.0) == 0.0
-    assert amp_radiative(p, 0.0) == 0.0
-    assert amp_single_photon(p, 0.0) == (0.0, 0.0, 0.0)
-    assert amp_two_photon(p, 0.0).g2 == 0.0
+    a = compute_amplitudes(params(), 0.0)
+    assert a.exchange == 0.0
+    assert a.re_a == 0.0
+    assert (a.u2, a.v2, a.pair_coherence) == (0.0, 0.0, 0.0)
+    assert a.g2 == 0.0
 
 
 def test_exchange_rejects_negative_time():
-    with pytest.raises(ValueError):
-        amp_exchange(params(), -0.5)
+    for xi in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="xi"):
+            compute_amplitudes(params(), xi)
 
 
 def test_exchange_quadrature_refinement():
     p256 = params(coupling=0.1, cutoff=50.0, quad_points=256)
     p512 = params(coupling=0.1, cutoff=50.0, quad_points=512)
-    a = amp_exchange(p256, 2.0)
-    b = amp_exchange(p512, 2.0)
+    a = compute_amplitudes(p256, 2.0).exchange
+    b = compute_amplitudes(p512, 2.0).exchange
     assert abs(a - b) / abs(b) < 1e-5
 
 
@@ -115,34 +110,37 @@ def _tensor_gauss_amplitudes(p, xi, n):
 def test_time_amplitudes_match_tensor_oracle(xi):
     p = params(coupling=0.1, cutoff=50.0)
     ex_o, re_a_o, pair_o = _tensor_gauss_amplitudes(p, xi, 512)
-    assert abs(amp_exchange(p, xi) - ex_o) / abs(ex_o) < 1e-5
-    assert abs(amp_radiative(p, xi) - re_a_o) / abs(re_a_o) < 1e-5
-    assert abs(amp_single_photon(p, xi).pair_coherence - pair_o) / abs(pair_o) < 1e-5
+    a = compute_amplitudes(p, xi)
+    assert abs(a.exchange - ex_o) / abs(ex_o) < 1e-5
+    assert abs(a.re_a - re_a_o) / abs(re_a_o) < 1e-5
+    assert abs(a.pair_coherence - pair_o) / abs(pair_o) < 1e-5
 
 
 def test_single_photon_dual_route():
-    # mode-integral route vs normal-ordered double-time-integral route
+    # mode-sum oracle vs the normal-ordered double-time-integral route
     p = params(coupling=0.1)
     for xi in (0.4, 1.0, 1.7):
-        sp = amp_single_photon(p, xi)
-        u2_t, v2_t = amp_single_photon_time_route(p, xi)
-        assert abs(sp.u2 - u2_t) / sp.u2 < 1e-5
-        assert abs(sp.v2 - v2_t) / sp.v2 < 1e-5
+        a = compute_amplitudes(p, xi)
+        u2_m, v2_m, pair_m = mode_sum_amplitudes(p, xi)
+        assert abs(u2_m - a.u2) / u2_m < 1e-5
+        assert abs(v2_m - a.v2) / v2_m < 1e-5
+        assert abs(pair_m - a.pair_coherence) / abs(pair_m) < 1e-5
 
 
 def test_radiative_correction_is_negative():
     p = params()
     for xi in np.linspace(0.05, 2.0, 40):
-        assert amp_radiative(p, xi) < 0.0
+        assert compute_amplitudes(p, xi).re_a < 0.0
 
 
 def test_unitarity_residual():
-    # norm conservation ties the emission weights to the radiative correction
+    # norm conservation ties the emission weights (from the mode sum) to the
+    # radiative correction (from the time-difference quadrature)
     for coupling in (0.05, 0.2):
         p = params(coupling=coupling, cutoff=50.0)
         for xi in np.linspace(0.0, 2.0, 11):
-            sp = amp_single_photon(p, xi)
-            resid = abs(sp.u2 + sp.v2 + 2.0 * amp_radiative(p, xi))
+            u2, v2, _ = mode_sum_amplitudes(p, xi)
+            resid = abs(u2 + v2 + 2.0 * compute_amplitudes(p, xi).re_a)
             assert resid <= 0.5 * coupling**2
 
 
@@ -150,16 +148,16 @@ def test_resonant_emission_dominates():
     for coupling in (0.05, 0.1, 0.2):
         p = params(coupling=coupling)
         for xi in np.linspace(0.1, 2.0, 20):
-            sp = amp_single_photon(p, xi)
-            assert sp.u2 >= sp.v2
+            a = compute_amplitudes(p, xi)
+            assert a.u2 >= a.v2
 
 
 def test_pair_coherence_bounded_by_emission():
     # |pair|^2 <= u2 v2 (Cauchy-Schwarz in the mode integrals)
     p = params(coupling=0.06)
     for xi in np.linspace(0.1, 2.0, 20):
-        sp = amp_single_photon(p, xi)
-        assert abs(sp.pair_coherence) ** 2 <= sp.u2 * sp.v2 * (1.0 + 1e-6)
+        a = compute_amplitudes(p, xi)
+        assert abs(a.pair_coherence) ** 2 <= a.u2 * a.v2 * (1.0 + 1e-6)
 
 
 def test_causality_commutator_confinement():
@@ -182,18 +180,15 @@ def test_causality_commutator_confinement():
 
 
 def test_two_photon_disabled_marker():
-    p = params(two_photon=False)
-    out = amp_two_photon(p, 1.0)
-    assert out.g2 == 0.0 and out.enabled is False
-    assert compute_amplitudes(p, 1.0).two_photon_enabled is False
+    out = compute_amplitudes(params(two_photon=False), 1.0)
+    assert out.g2 == 0.0 and out.two_photon_enabled is False
 
 
 def test_two_photon_bounds():
     p = params(coupling=0.06)
     for xi in np.linspace(0.1, 2.0, 20):
-        sp = amp_single_photon(p, xi)
-        g2 = amp_two_photon(p, xi).g2
-        assert 0.0 <= g2 <= 10.0 * sp.u2 * sp.v2
+        a = compute_amplitudes(p, xi)
+        assert 0.0 <= a.g2 <= 10.0 * a.u2 * a.v2
 
 
 def test_exchange_dominates_two_photon_weight_inside_cone():
@@ -256,11 +251,12 @@ def test_assemble_initial_state():
 
 def test_assemble_arithmetic():
     p = params()
-    amps = _manual_amps(u2=0.01, v2=0.004, re_a=-0.007, exchange=0.01j)
+    # g2 = u2 v2 + |L|^2 keeps the exchange block positive
+    amps = _manual_amps(u2=0.01, v2=0.004, re_a=-0.007, exchange=0.01j, g2=4e-5)
     coeffs, rho = assemble(p, amps)
-    assert coeffs.c == pytest.approx(1.0001, abs=1e-15)
+    assert coeffs.c == pytest.approx(1.00014, abs=1e-15)
     assert coeffs.rho22 == pytest.approx(0.986)
-    assert rho[1, 1].real == pytest.approx(0.986 / 1.0001)
+    assert rho[1, 1].real == pytest.approx(0.986 / 1.00014)
     assert coeffs.rho23 == pytest.approx(-0.01j)
 
 
@@ -268,6 +264,12 @@ def test_assemble_out_of_regime():
     p = params(coupling=0.2)
     amps = compute_amplitudes(p, 2.0)
     with pytest.raises(OutOfRegimeError, match="xi = 2"):
+        assemble(p, amps)
+    # 1 + 2 re_A > 0 here, but the exchange block is no longer positive
+    p = params(coupling=0.06, cutoff=1000.0)
+    amps = compute_amplitudes(p, 2.0)
+    assert 1.0 + 2.0 * amps.re_a > 0.0
+    with pytest.raises(OutOfRegimeError, match=r"min eigenvalue = -1\.1\d+e-02"):
         assemble(p, amps)
 
 
@@ -291,6 +293,13 @@ def test_model_params_validation():
         ModelParams(r_bar=1.0, coupling=0.1, cutoff=5.0)
     with pytest.raises(ValueError, match="quad_points"):
         ModelParams(r_bar=1.0, coupling=0.1, quad_points=8)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="r_bar"):
+            ModelParams(r_bar=bad, coupling=0.1)
+        with pytest.raises(ValueError, match="coupling"):
+            ModelParams(r_bar=1.0, coupling=bad)
+        with pytest.raises(ValueError, match="cutoff"):
+            ModelParams(r_bar=1.0, coupling=0.1, cutoff=bad)
 
 
 def test_csv_header_frozen():

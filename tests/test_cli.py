@@ -32,11 +32,10 @@ from fermicorr.cli import (
 R_BAR = math.pi / 4.0
 
 
-def small_spec(tmp_path, couplings=(0.04, 0.02), steps=5, cutoff=50.0):
+def small_spec(couplings=(0.04, 0.02), steps=5, cutoff=50.0):
     return SweepSpec(
         xi_min=0.0, xi_max=2.0, xi_steps=steps, couplings=couplings,
         params=ModelParams(r_bar=R_BAR, coupling=couplings[0], cutoff=cutoff),
-        output_path=str(tmp_path / "sweep.csv"),
     )
 
 
@@ -52,8 +51,8 @@ def test_sweep_spec_validation():
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(-0.1,), params=p)
 
 
-def test_sweep_rows_ordered_and_initial_point(tmp_path):
-    rows = run_sweep(small_spec(tmp_path))
+def test_sweep_rows_ordered_and_initial_point():
+    rows = run_sweep(small_spec())
     keys = [(r["K"], r["xi"]) for r in rows]
     assert keys == sorted(keys)
     for coupling in (0.02, 0.04):
@@ -66,7 +65,7 @@ def test_sweep_rows_ordered_and_initial_point(tmp_path):
 
 
 def test_sweep_csv_deterministic(tmp_path):
-    spec = small_spec(tmp_path)
+    spec = small_spec()
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(path_a, SWEEP_HEADER, run_sweep(spec))
     write_csv(path_b, SWEEP_HEADER, run_sweep(spec))
@@ -74,9 +73,10 @@ def test_sweep_csv_deterministic(tmp_path):
 
 
 def test_sweep_csv_layout(tmp_path):
-    spec = small_spec(tmp_path, couplings=(0.04,), steps=3)
-    write_csv(spec.output_path, SWEEP_HEADER, run_sweep(spec))
-    lines = open(spec.output_path, newline="").read().split("\n")
+    spec = small_spec(couplings=(0.04,), steps=3)
+    path = tmp_path / "sweep.csv"
+    write_csv(path, SWEEP_HEADER, run_sweep(spec))
+    lines = open(path, newline="").read().split("\n")
     assert lines[0] == (
         "xi,K,r_bar,cutoff,re_A,re_X,im_X,u2,v2,re_L,im_L,g2,c,"
         "sqrtD,negativity,conn_corr,bell_chsh,bell_opt,hierarchy_ok"
@@ -93,6 +93,13 @@ def test_sweep_cli_out_of_regime(tmp_path):
     rc = main([
         "sweep", "--coupling", "0.2", "--cutoff", "300",
         "--xi-steps", "5", "--out", str(out),
+    ])
+    assert rc == 2
+    assert not out.exists()
+    # 1 + 2 re_A stays positive here; the states stop being positive first
+    rc = main([
+        "sweep", "--coupling", "0.06", "--cutoff", "1000",
+        "--xi-min", "1.9", "--xi-max", "2", "--xi-steps", "3", "--out", str(out),
     ])
     assert rc == 2
     assert not out.exists()
@@ -141,6 +148,16 @@ def test_state_dump_roundtrip_and_consistency():
     assert abs(bell_chsh(coeffs) - bell_chsh(coeffs)) == 0.0
 
 
+def test_state_cli_exit_codes(capsys):
+    assert main(["state", "--xi", "nan"]) == 1
+    assert main(["state", "--xi", "-0.5"]) == 1
+    assert main(["state", "--cutoff", "inf"]) == 1
+    assert main(["state", "--cutoff", "1000", "--coupling", "0.06", "--xi", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "min eigenvalue = -1.14" in err
+
+
 def test_state_cli_writes_json(tmp_path):
     out = tmp_path / "state.json"
     rc = main([
@@ -175,7 +192,7 @@ def test_oracle_check_cli_exit_codes(tmp_path):
 
 
 def test_figures_outputs(tmp_path):
-    spec = small_spec(tmp_path, couplings=(0.02, 0.04, 0.06), steps=21)
+    spec = small_spec(couplings=(0.02, 0.04, 0.06), steps=21)
     paths = figures(str(tmp_path), spec)
     assert sorted(p.split("/")[-1] for p in paths) == ["fig1.csv", "fig4.csv", "fig5.csv"]
 
@@ -204,10 +221,17 @@ def test_figures_outputs(tmp_path):
     assert len(fig4) == 1 + 9 * 21
 
 
-def test_negativity_onset_matches_condition_on_grid(tmp_path):
+def test_figures_cli_creates_out_dir(tmp_path):
+    out = tmp_path / "datasets"
+    rc = main(["figures", "--cutoff", "50", "--xi-steps", "3", "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fig1.csv", "fig4.csv", "fig5.csv"]
+
+
+def test_negativity_onset_matches_condition_on_grid():
     # the first grid time with positive negativity coincides with the first
     # crossing of the exchange-dominance condition (both may be absent)
-    rows = run_sweep(small_spec(tmp_path, couplings=(0.05,), steps=41))
+    rows = run_sweep(small_spec(couplings=(0.05,), steps=41))
     p = ModelParams(r_bar=R_BAR, coupling=0.05, cutoff=50.0)
     onset_neg = [r["xi"] for r in rows if r["negativity"] > 0.0]
     onset_cond = [r["xi"] for r in rows if entanglement_onset(compute_amplitudes(p, r["xi"]))]
