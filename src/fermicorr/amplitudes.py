@@ -21,6 +21,7 @@ once.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,9 +37,10 @@ DEFAULT_QUAD_POINTS = 256
 # Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k.
 _PANEL_GROWTH = 4.0
 _MIN_PANEL_NODES = 8
-# Cached reduced amplitudes: room for the 401-point default sweep grid at a
-# few (cutoff, node budget) pairs, so every coupling block after the first
-# reuses the quadrature.
+# Cached reduced amplitudes. A sweep evaluates all its couplings at one xi
+# back to back, so it needs one entry at a time at any grid size; the room
+# lets repeated grids in one process (``figures`` sweeps its xi grid twice)
+# and a few (cutoff, node budget) pairs reuse the quadrature.
 _AMPLITUDE_CACHE_SIZE = 2048
 
 
@@ -219,12 +221,17 @@ def assemble(
     """Assemble the X-patterned reduced density matrix from the amplitudes.
 
     Returns the unnormalized coefficients (with their sum c) and the
-    c-normalized 4x4 matrix. Raises :class:`OutOfRegimeError` when the
-    vacuum-sector population 1 + 2*re_a is not positive, or when the smaller
-    eigenvalue of either 2x2 X-block of the normalized state is below
-    -POSITIVITY_ATOL; both signal a coupling too strong for the second-order
-    truncation at this time.
+    c-normalized 4x4 matrix. Raises ValueError naming the first non-finite
+    amplitude. Raises :class:`OutOfRegimeError` when the vacuum-sector
+    population 1 + 2*re_a is not positive, or when the smaller eigenvalue of
+    either 2x2 X-block of the normalized state is below -POSITIVITY_ATOL;
+    both signal a coupling too strong for the second-order truncation at
+    this time.
     """
+    for name in ("re_a", "exchange", "u2", "v2", "pair_coherence", "g2"):
+        value = getattr(amps, name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"amplitude {name} must be finite, got {value}")
     rho11 = amps.v2
     rho22 = 1.0 + 2.0 * amps.re_a
     rho33 = abs(amps.exchange) ** 2 + amps.g2

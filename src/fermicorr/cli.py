@@ -121,13 +121,18 @@ def sweep_row(p: ModelParams, xi: float) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """All sweep rows ordered by (coupling, xi) ascending; deterministic."""
-    rows = []
-    for coupling in sorted(spec.couplings):
-        p = replace(spec.params, coupling=coupling)
-        for xi in spec.xi_grid():
-            rows.append(sweep_row(p, float(xi)))
-    return rows
+    """All sweep rows ordered by (coupling, xi) ascending; deterministic.
+
+    Every coupling is evaluated at one xi before the next xi, so the
+    coupling-free quadrature of each xi is computed once and reused at once,
+    whatever the grid size and the amplitude cache size.
+    """
+    params = [replace(spec.params, coupling=k) for k in sorted(spec.couplings)]
+    blocks = [[] for _ in params]
+    for xi in spec.xi_grid():
+        for p, block in zip(params, blocks):
+            block.append(sweep_row(p, float(xi)))
+    return [row for block in blocks for row in block]
 
 
 def state_dump(params: ModelParams, xi: float) -> dict:

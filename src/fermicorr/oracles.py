@@ -1,11 +1,31 @@
 """Brute-force validators for the closed-form measures and the amplitudes.
 
-Each measure oracle evaluates its objective directly from operator
-expectation values and optimizes by deterministic grid search with local
+Each measure oracle evaluates its objective directly from expectation values
+measured on the state and optimizes by deterministic grid search with local
 refinement, so the closed forms in :mod:`fermicorr.measures` can be checked
 against an independent code path. Refinement steps move in the tangent plane
 of the current best direction, which keeps the search well-behaved at the
 coordinate poles.
+
+The two-party objectives are written so that one coarse step is a few
+matrix products. The Pauli moments T_ab = <s_a s_b>, x_a = <s_a 1> and
+y_b = <1 s_b> are measured entry-wise from the state once per call; the
+connected correlation of axis batches A, B is then A T B^T - (A x)(B y)^T.
+The CHSH objective |Tb + Tb'| + |Tb - Tb'| uses the Gram form
+|Tb +- Tb'|^2 = |Tb|^2 + |Tb'|^2 +- 2 Tb.Tb' from one product of the two
+batches. Where |Tb - Tb'| or |Tb + Tb'| is small (b' near +-b, or b -+ b'
+near a null direction of T) that branch loses digits to cancellation before
+its square root. The value is then off by at most about 1e-8 absolute,
+reached at b' = +-b as the square root of a rounding error of |Tb|^2 <= 1;
+that is far inside the 1e-5 and 1e-4 Bell tolerances.
+
+Every objective is even in each measurement axis (a projective measurement
+along -n is the one along n, and the covariance and CHSH value change sign
+in pairs or not at all), so the coarse search runs on the antipodal half of
+the grid: the first half of the theta-major ``DirectionGrid.directions()``,
+which holds one direction of every antipodal pair when ``azimuth_steps`` is
+even. Discord searches n on it, the connected correlation n (not n'), and
+CHSH both b and b'. Refinement meshes are unchanged.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
@@ -23,6 +43,7 @@ from .amplitudes import ModelParams
 from .states import IDENTITY_2, PAULI, partial_transpose, validate_state
 
 _SIGMA = np.stack(PAULI)  # (3, 2, 2)
+_SIGMA_1 = np.stack((IDENTITY_2,) + PAULI)  # (4, 2, 2), identity first
 
 # 9-point meshes over a +-w window quarter the window each round
 _REFINE_MESH = 9
@@ -80,6 +101,22 @@ def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+def _antipodal_half(dirs: np.ndarray) -> np.ndarray:
+    """First half of a theta-major direction grid: the polar rows from the
+    north pole down, plus half of the equator row when the row count is odd.
+    With an even azimuth count it holds one direction of every antipodal
+    pair of the grid."""
+    return dirs[: len(dirs) // 2]
+
+
+def _moments(rho: np.ndarray):
+    """Pauli moments (T, x, y) of a state, each entry measured as
+    Tr(rho s_a (x) s_b) with s_0 the identity."""
+    rho4 = rho.reshape(2, 2, 2, 2)
+    r = np.einsum("ikjl,aji,blk->ab", rho4, _SIGMA_1, _SIGMA_1).real
+    return r[1:, 1:], r[1:, 0], r[0, 1:]
+
+
 def _measurement_residual(rho, dirs):
     """2 ||rho - Pi_n(rho)||_2^2 for a batch of measurement axes on qubit A."""
     axis = np.einsum("mi,ijk->mjk", dirs, _SIGMA)
@@ -96,12 +133,12 @@ def discord_bruteforce(rho: np.ndarray, grid: DirectionGrid) -> float:
     """Geometric discord by direct minimization over projective measurements.
 
     Minimizes 2 ||rho - Pi_n(rho)||_2^2 over the Bloch axis n of a projective
-    measurement on the first qubit, by coarse grid search plus tangent-plane
-    refinement. Grid search can only overshoot a minimum, so the result
-    brackets the closed form from above.
+    measurement on the first qubit, by coarse search over the antipodal half
+    of the grid plus tangent-plane refinement. Grid search can only overshoot
+    a minimum, so the result brackets the closed form from above.
     """
     rho = validate_state(rho)
-    dirs = grid.directions()
+    dirs = _antipodal_half(grid.directions())
     vals = _measurement_residual(rho, dirs)
     i = int(np.argmin(vals))
     best, center = vals[i], dirs[i]
@@ -116,15 +153,11 @@ def discord_bruteforce(rho: np.ndarray, grid: DirectionGrid) -> float:
     return float(best)
 
 
-def _pair_covariance(rho4, dirs_a, dirs_b):
-    """cov(n, n') = <(s.n)(s.n')> - <s.n><s.n'> for direction batches."""
-    sig_a = np.einsum("mi,ijk->mjk", dirs_a, _SIGMA)
-    sig_b = np.einsum("mi,ijk->mjk", dirs_b, _SIGMA)
-    r1 = np.einsum("ikjl,aji->akl", rho4, sig_a)
-    joint = np.einsum("akl,blk->ab", r1, sig_b).real
-    single_a = np.einsum("ikjk,aji->a", rho4, sig_a).real
-    single_b = np.einsum("ikil,blk->b", rho4, sig_b).real
-    return joint - np.outer(single_a, single_b)
+def _pair_covariance(moments, dirs_a, dirs_b):
+    """cov(n, n') = <(s.n)(s.n')> - <s.n><s.n'> for direction batches, from
+    the moments (T, x, y) of :func:`_moments`."""
+    corr, x, y = moments
+    return dirs_a @ corr @ dirs_b.T - np.outer(dirs_a @ x, dirs_b @ y)
 
 
 def maxcorr_bruteforce(
@@ -132,20 +165,21 @@ def maxcorr_bruteforce(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Maximum connected correlation by direct search over direction pairs.
 
-    Returns (value, n, n') with n, n' the maximizing measurement axes of the
-    first and second qubit.
+    n runs over the antipodal half of the grid and n' over all of it, since
+    cov(-n, -n') = cov(n, n'). Returns (value, n, n') with n, n' the
+    maximizing measurement axes of the first and second qubit.
     """
-    rho = validate_state(rho)
-    rho4 = rho.reshape(2, 2, 2, 2)
+    moments = _moments(validate_state(rho))
     dirs = grid.directions()
-    cov = _pair_covariance(rho4, dirs, dirs)
+    half = _antipodal_half(dirs)
+    cov = _pair_covariance(moments, half, dirs)
     i, j = np.unravel_index(int(np.argmax(cov)), cov.shape)
-    best, ca, cb = cov[i, j], dirs[i], dirs[j]
+    best, ca, cb = cov[i, j], half[i], dirs[j]
     w = grid.initial_window()
     for _ in range(grid.refine_rounds):
         mesh_a = _tangent_mesh(ca, w)
         mesh_b = _tangent_mesh(cb, w)
-        cov = _pair_covariance(rho4, mesh_a, mesh_b)
+        cov = _pair_covariance(moments, mesh_a, mesh_b)
         i, j = np.unravel_index(int(np.argmax(cov)), cov.shape)
         if cov[i, j] > best:
             best, ca, cb = cov[i, j], mesh_a[i], mesh_b[j]
@@ -164,28 +198,32 @@ def negativity_eig(rho: np.ndarray) -> float:
 def _chsh_value(corr, dirs_b, dirs_bp):
     """Best CHSH value over the first party's axes for batches of (b, b').
 
-    For fixed b, b' the optimum over unit a, a' is |T b + T b'| + |T b - T b'|.
+    For fixed b, b' the optimum over unit a, a' is |T b + T b'| + |T b - T b'|,
+    here in Gram form; see the module docstring for its cancellation bound.
     """
     tb = dirs_b @ corr.T
     tbp = dirs_bp @ corr.T
-    plus = np.linalg.norm(tb[:, None, :] + tbp[None, :, :], axis=-1)
-    minus = np.linalg.norm(tb[:, None, :] - tbp[None, :, :], axis=-1)
+    cross = 2.0 * (tb @ tbp.T)
+    plus = np.add.outer(np.einsum("mi,mi->m", tb, tb), np.einsum("mi,mi->m", tbp, tbp))
+    minus = plus - cross
+    plus += cross
+    # in place: fresh (576, 576) temporaries cost more than the arithmetic;
+    # rounding can leave |T(b -+ b')|^2 slightly negative near b' = +-b
+    for squared in (plus, minus):
+        np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
     return plus + minus
 
 
 def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     """CHSH parameter maximized over all four measurement directions.
 
-    The second party's two axes are grid-searched and refined; for each such
-    pair the first party's axes are optimized exactly. The correlation
-    matrix is measured entry-wise from the state.
+    The second party's two axes are grid-searched, each over the antipodal
+    half of the grid, and refined; for each such pair the first party's axes
+    are optimized exactly. The correlation matrix is measured entry-wise
+    from the state.
     """
-    rho = validate_state(rho)
-    rho4 = rho.reshape(2, 2, 2, 2)
-    corr = np.array(
-        [[np.einsum("ikjl,ji,lk->", rho4, sa, sb).real for sb in PAULI] for sa in PAULI]
-    )
-    dirs = grid.directions()
+    corr = _moments(validate_state(rho))[0]
+    dirs = _antipodal_half(grid.directions())
     vals = _chsh_value(corr, dirs, dirs)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best, cb, cbp = vals[i, j], dirs[i], dirs[j]

@@ -260,6 +260,18 @@ def test_assemble_arithmetic():
     assert coeffs.rho23 == pytest.approx(-0.01j)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("re_a", math.nan),
+    ("exchange", complex(math.nan, 0.0)),
+    ("exchange", complex(0.0, math.inf)),
+    ("g2", math.inf),
+])
+def test_assemble_rejects_non_finite_amplitudes(field, value):
+    with pytest.raises(ValueError, match=f"amplitude {field} must be finite") as info:
+        assemble(params(), _manual_amps(**{field: value}))
+    assert not isinstance(info.value, OutOfRegimeError)
+
+
 def test_assemble_out_of_regime():
     p = params(coupling=0.2)
     amps = compute_amplitudes(p, 2.0)

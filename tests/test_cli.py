@@ -17,6 +17,7 @@ from fermicorr import (
     entanglement_onset,
     sqrt_discord_xstate,
 )
+from fermicorr.amplitudes import _AMPLITUDE_CACHE_SIZE, _reduced_amplitudes
 from fermicorr.cli import (
     SWEEP_HEADER,
     SweepSpec,
@@ -86,6 +87,19 @@ def test_sweep_csv_layout(tmp_path):
     fields = lines[2].split(",")
     assert float(fields[0]) == 1.0
     assert float(fields[2]) == R_BAR
+
+
+def test_sweep_beyond_cache_size_computes_each_xi_once():
+    steps = 2100
+    assert steps > _AMPLITUDE_CACHE_SIZE
+    spec = small_spec(couplings=(0.06, 0.02, 0.04), steps=steps, cutoff=300.0)
+    _reduced_amplitudes.cache_clear()
+    rows = run_sweep(spec)
+    info = _reduced_amplitudes.cache_info()
+    assert (info.misses, info.hits) == (steps, 2 * steps)
+    assert [(r["K"], r["xi"]) for r in rows] == [
+        (k, float(xi)) for k in (0.02, 0.04, 0.06) for xi in spec.xi_grid()
+    ]
 
 
 def test_sweep_cli_out_of_regime(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fermicorr import (
     DirectionGrid,
@@ -17,10 +19,30 @@ from fermicorr import (
     negativity_eig,
     random_state,
 )
+from fermicorr.oracles import (
+    _antipodal_half,
+    _chsh_value,
+    _measurement_residual,
+    _moments,
+    _pair_covariance,
+)
+from fermicorr.states import IDENTITY_2, PAULI
 
 from conftest import bell_projector
 
 GRID = DirectionGrid()
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+states = st.builds(
+    random_state, st.integers(0, 2**32 - 1), st.sampled_from(["mixed", "xshape"])
+)
+axes = st.builds(
+    lambda theta, phi: np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    ),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
 
 
 def pure_product_state():
@@ -145,3 +167,87 @@ def test_oracles_deterministic():
     assert v1[0] == v2[0]
     assert np.array_equal(v1[1], v2[1]) and np.array_equal(v1[2], v2[2])
     assert chsh_gridopt(rho, GRID) == chsh_gridopt(rho, GRID)
+
+
+def _axis_operator(n):
+    return sum(c * s for c, s in zip(n, PAULI))
+
+
+def test_pair_covariance_matches_operator_definition():
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        rho = random_state(seed, "mixed" if seed % 2 else "xshape")
+        dirs_a, dirs_b = (
+            v / np.linalg.norm(v, axis=1, keepdims=True)
+            for v in rng.standard_normal((2, 6, 3))
+        )
+        cov = _pair_covariance(_moments(rho), dirs_a, dirs_b)
+        for i, n in enumerate(dirs_a):
+            sn = _axis_operator(n)
+            for j, m in enumerate(dirs_b):
+                sm = _axis_operator(m)
+                joint = np.trace(rho @ np.kron(sn, sm)).real
+                local_a = np.trace(rho @ np.kron(sn, IDENTITY_2)).real
+                local_b = np.trace(rho @ np.kron(IDENTITY_2, sm)).real
+                assert abs(cov[i, j] - (joint - local_a * local_b)) <= 1e-13
+
+
+def _chsh_explicit(corr, b, bp):
+    return np.linalg.norm(corr @ (b + bp)) + np.linalg.norm(corr @ (b - bp))
+
+
+@PROPERTY
+@given(rho=states, b=axes, bp=axes)
+def test_chsh_gram_form_matches_explicit_norms(rho, b, bp):
+    # the Gram form loses digits where |T b -+ T b'| is small, whether b' is
+    # near +-b or b -+ b' lies near a null direction of T
+    corr = _moments(rho)[0]
+    assume(min(np.linalg.norm(corr @ (b - bp)), np.linalg.norm(corr @ (b + bp))) >= 0.01)
+    assert abs(_chsh_value(corr, b[None], bp[None])[0, 0] - _chsh_explicit(corr, b, bp)) <= 1e-12
+
+
+@PROPERTY
+@given(rho=states, b=axes, sign=st.sampled_from([1.0, -1.0]))
+def test_chsh_gram_form_cancellation_at_parallel_axes(rho, b, sign):
+    corr = _moments(rho)[0]
+    bp = sign * b
+    assert abs(_chsh_value(corr, b[None], bp[None])[0, 0] - _chsh_explicit(corr, b, bp)) <= 1e-7
+
+
+@PROPERTY
+@given(rho=states, n=axes, nprime=axes)
+def test_oracle_objectives_even_in_each_axis(rho, n, nprime):
+    n, nprime = n[None], nprime[None]
+    moments = _moments(rho)
+    residual = _measurement_residual(rho, n)
+    assert abs(_measurement_residual(rho, -n) - residual)[0] <= 1e-14
+    cov = _pair_covariance(moments, n, nprime)
+    assert abs(_pair_covariance(moments, -n, -nprime) - cov)[0, 0] <= 1e-14
+    chsh = _chsh_value(moments[0], n, nprime)
+    assert abs(_chsh_value(moments[0], -n, nprime) - chsh)[0, 0] <= 1e-14
+    assert abs(_chsh_value(moments[0], n, -nprime) - chsh)[0, 0] <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [GRID, DirectionGrid(polar_steps=25, azimuth_steps=50)])
+def test_antipodal_half_holds_one_of_each_pair(grid):
+    dirs = grid.directions()
+    half = _antipodal_half(dirs)
+    assert 2 * len(half) == len(dirs)
+    mirror = np.linalg.norm(dirs[len(half):, None, :] + half[None, :, :], axis=-1)
+    assert mirror.min(axis=1).max() <= 1e-15
+
+
+def test_half_grid_coarse_optimum_equals_full_grid():
+    dirs = GRID.directions()
+    half = _antipodal_half(dirs)
+    for seed in range(30):
+        rho = random_state(seed, "mixed")
+        moments = _moments(rho)
+        assert abs(
+            _measurement_residual(rho, half).min() - _measurement_residual(rho, dirs).min()
+        ) <= 1e-14
+        assert abs(
+            _pair_covariance(moments, half, dirs).max() - _pair_covariance(moments, dirs, dirs).max()
+        ) <= 1e-14
+        corr = _moments(random_state(seed, "xshape"))[0]
+        assert abs(_chsh_value(corr, half, half).max() - _chsh_value(corr, dirs, dirs).max()) <= 1e-14
