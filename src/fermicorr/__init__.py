@@ -12,7 +12,6 @@ from .amplitudes import (
     two_point,
 )
 from .measures import (
-    BELL_CLASSICAL,
     BELL_TSIRELSON,
     CorrelationReport,
     bell_chsh,
@@ -34,22 +33,17 @@ from .oracles import (
     negativity_eig,
 )
 from .states import (
-    BASIS_LABELS,
     BlochDecomposition,
     StateValidationError,
     decompose,
     partial_transpose,
-    purity,
     random_state,
-    reconstruct,
     state_from_json,
     state_to_json,
     validate_state,
 )
 
 __all__ = [
-    "BASIS_LABELS",
-    "BELL_CLASSICAL",
     "BELL_TSIRELSON",
     "BlochDecomposition",
     "CorrelationReport",
@@ -75,9 +69,7 @@ __all__ = [
     "negativity_eig",
     "negativity_xstate",
     "partial_transpose",
-    "purity",
     "random_state",
-    "reconstruct",
     "report",
     "sqrt_discord_xstate",
     "state_from_json",

@@ -13,23 +13,22 @@ light-cone peak, so its accuracy does not depend on the cutoff. The mode-sum
 evaluation of the emission weights and the pair coherence lives in
 :mod:`fermicorr.oracles` as an independent check.
 
-Each amplitude is linear (or, for the two-photon weight, quadratic) in the
-coupling, so internally the reduced coupling-free integrals are cached per
-(time, separation, cutoff, node budget) in a bounded cache and rescaled on
-the way out. A sweep over many couplings therefore pays for the quadrature
-once.
+A whole xi grid is evaluated in one pass: the nodes of every xi are laid end
+to end and the integrands are evaluated a fixed number of nodes at a time, so
+memory does not grow with the grid. Each amplitude is linear (or, for the
+two-photon weight, quadratic) in the coupling, so a sweep computes the
+coupling-free integrals once and rescales them for every coupling.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .states import POSITIVITY_ATOL
+from .states import POSITIVITY_ATOL, unwrap_scalar
 
 DEFAULT_CUTOFF = 300.0
 DEFAULT_QUAD_POINTS = 256
@@ -37,16 +36,19 @@ DEFAULT_QUAD_POINTS = 256
 # Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k.
 _PANEL_GROWTH = 4.0
 _MIN_PANEL_NODES = 8
-# Cached reduced amplitudes. A sweep evaluates all its couplings at one xi
-# back to back, so it needs one entry at a time at any grid size; the room
-# lets repeated grids in one process (``figures`` sweeps its xi grid twice)
-# and a few (cutoff, node budget) pairs reuse the quadrature.
-_AMPLITUDE_CACHE_SIZE = 2048
+# Time-difference nodes per two_point evaluation: a default sweep takes a few
+# such blocks, and a longer grid takes more of them rather than larger ones.
+_BLOCK_NODES = 1 << 14
 
 
 class OutOfRegimeError(ValueError):
     """Second-order truncation broke down (vacuum-sector population <= 0, or
-    an assembled state that is not positive semidefinite)."""
+    an assembled state that is not positive semidefinite). ``xi`` is the
+    time of the failing point."""
+
+    def __init__(self, message: str, xi: float = math.nan):
+        super().__init__(message)
+        self.xi = xi
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PerturbativeAmplitudes:
-    """Second-order amplitudes at one dimensionless time.
+    """Second-order amplitudes at one dimensionless time, or arrays of them
+    over an xi grid.
 
     re_a            real part of the intra-qubit radiative correction
                     (norm loss; <= 0 for xi > 0)
@@ -94,10 +97,19 @@ class PerturbativeAmplitudes:
     g2: float
     two_photon_enabled: bool
 
+    def scaled(self, factor):
+        """The amplitudes at ``factor`` times this coupling: g2 scales with
+        its square, every other amplitude linearly. ``factor`` may be an
+        array that broadcasts against the fields."""
+        linear = ("re_a", "exchange", "u2", "v2", "pair_coherence")
+        return replace(self, g2=factor * factor * self.g2,
+                       **{name: factor * getattr(self, name) for name in linear})
+
 
 @dataclass(frozen=True)
 class XStateCoefficients:
-    """Unnormalized entries of the X-patterned reduced state plus their sum c."""
+    """Unnormalized entries of the X-patterned reduced state plus their sum c
+    (scalars, or arrays over a stack of states)."""
 
     rho11: float
     rho22: float
@@ -106,6 +118,30 @@ class XStateCoefficients:
     rho14: complex
     rho23: complex
     c: float
+
+
+CSV_AMPLITUDE_HEADER = (
+    "xi", "K", "r_bar", "cutoff", "re_A", "re_X", "im_X",
+    "u2", "v2", "re_L", "im_L", "g2", "c",
+)
+# The one map from amplitude fields to their CSV and state-JSON names; a
+# complex field is written as its real and imaginary parts.
+AMPLITUDE_NAMES = {
+    "xi": "xi", "re_a": "re_A", "exchange": ("re_X", "im_X"), "u2": "u2", "v2": "v2",
+    "pair_coherence": ("re_L", "im_L"), "g2": "g2", "two_photon_enabled": "two_photon_enabled",
+}
+
+
+def amplitude_fields(amps: PerturbativeAmplitudes) -> dict:
+    """Amplitude values keyed by their output names, in output order."""
+    out = {}
+    for attr, name in AMPLITUDE_NAMES.items():
+        value = getattr(amps, attr)
+        if isinstance(name, tuple):
+            out[name[0]], out[name[1]] = value.real, value.imag
+        else:
+            out[name] = value
+    return out
 
 
 def two_point(dx, dt, cutoff: float):
@@ -127,8 +163,9 @@ def _leggauss(n: int):
     return leggauss(n)
 
 
-def _delta_nodes(tau: float, pole: float, cutoff: float, n: int):
-    """Composite Gauss-Legendre rule on [0, tau] for the time-difference axis.
+def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, terms):
+    """Per-tau sums of ``terms(d, wd, tau)`` over a composite Gauss-Legendre
+    rule on [0, tau], for every tau > 0 of an array.
 
     The two-point function peaks in an eps-wide window at ``pole`` (the
     light-cone separation, or 0 for the equal-position kernel). With the pole
@@ -136,49 +173,78 @@ def _delta_nodes(tau: float, pole: float, cutoff: float, n: int):
     pole +- eps*4**k, so their widths grow geometrically away from the peak.
     The node budget ``n`` is split evenly over the panels (at least 8 per
     panel), which keeps the accuracy of the rule independent of the cutoff.
+    The nodes of all taus are laid end to end and evaluated _BLOCK_NODES at
+    a time; within a block each tau's terms are summed with np.add.reduceat.
+    Returns one array of sums per term.
     """
     eps = 1.0 / cutoff
-    pole = min(max(pole, 0.0), tau)
-    cuts = {0.0, pole, tau}
-    step = eps
-    while step < max(pole, tau - pole):
-        cuts.update(c for c in (pole - step, pole + step) if 0.0 < c < tau)
-        step *= _PANEL_GROWTH
-    cuts = np.array(sorted(cuts))
-    x, w = _leggauss(max(_MIN_PANEL_NODES, n // (len(cuts) - 1)))
-    half = 0.5 * np.diff(cuts)[:, None]
-    return (cuts[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+    pole = np.minimum(np.maximum(pole, 0.0), tau)
+    reach = np.maximum(pole, tau - pole)[:, None]
+    steps, longest = [eps], reach.max()
+    while steps[-1] < longest:
+        steps.append(steps[-1] * _PANEL_GROWTH)
+    steps = np.array(steps)
+    cuts = [np.zeros_like(tau), pole, tau]
+    for c in (pole[:, None] - steps, pole[:, None] + steps):
+        cuts.append(np.where((steps < reach) & (0.0 < c) & (c < tau[:, None]), c, np.inf))
+    cuts = np.sort(np.column_stack(cuts), axis=1)
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf  # each cut once
+    cuts.sort(axis=1)
+    valid = cuts[:, 1:] < np.inf
+    owner = np.nonzero(valid)[0]  # the tau of each panel
+    lower = cuts[:, :-1][valid]
+    half = 0.5 * (cuts[:, 1:][valid] - lower)
+    order = np.maximum(_MIN_PANEL_NODES, n // valid.sum(axis=1))[owner]
+    ends = np.cumsum(order)
+    orders = sorted(set(order.tolist()))  # np.unique would import numpy.ma
+    x_all, w_all = map(np.concatenate, zip(*(_leggauss(q) for q in orders)))
+    # node g of panel p is entry table[p] + g of x_all and w_all
+    table = (np.cumsum(orders) - orders)[np.searchsorted(orders, order)] - (ends - order)
+    sums = None
+    for start in range(0, ends[-1], _BLOCK_NODES):
+        g = np.arange(start, min(start + _BLOCK_NODES, ends[-1]))
+        p = np.searchsorted(ends, g, side="right")
+        k = table[p] + g
+        d = lower[p] + half[p] * (x_all[k] + 1.0)
+        rows = owner[p]
+        lo, hi = rows[0], rows[-1] + 1  # every tau has nodes, so the block holds lo..hi-1
+        first = np.searchsorted(rows, np.arange(lo, hi))
+        block = [np.add.reduceat(v, first) for v in terms(d, half[p] * w_all[k], tau[rows])]
+        sums = sums or [np.zeros(len(tau), v.dtype) for v in block]
+        for total, v in zip(sums, block):
+            total[lo:hi] += v
+    return sums
 
 
-@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
-def _reduced_amplitudes(tau: float, r_bar: float, cutoff: float, n: int):
+def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float, n: int):
     """Coupling-free double-time integrals, reduced to the difference variable.
 
     For integrands f(t1 - t2) on the square [0, tau]^2 the exact reduction is
     int_{-tau}^{tau} (tau - |d|) f(d) dd; for the pair amplitude the sum
     variable integrates in closed form. The emission weights share the
     zero-separation nodes of re_a, so u2 + v2 = -2 re_a node by node.
-    Returns (exchange, re_a, pair, u2, v2) at unit coupling.
+    Returns arrays (exchange, re_a, pair, u2, v2) at unit coupling, tau > 0.
     """
-    if tau <= 0.0:
-        return 0.0j, 0.0, 0.0j, 0.0, 0.0
-    d, wd = _delta_nodes(tau, r_bar, cutoff, n)
-    wr = two_point(r_bar, d, cutoff)
-    exchange = complex(0.5 * np.sum(wd * (tau - d) * np.cos(d) * wr))
-    pair = complex(
-        (-0.25 / 1j)
-        * np.sum(wd * wr.real * (np.exp(1j * (2.0 * tau - d)) - np.exp(1j * d)))
-    )
-    d0, wd0 = _delta_nodes(tau, 0.0, cutoff, n)
-    kernel = wd0 * (tau - d0) * two_point(0.0, d0, cutoff)
-    re_a = float(-0.5 * np.sum(np.cos(d0) * kernel.real))
-    u2 = float(0.5 * np.sum((np.exp(1j * d0) * kernel).real))
-    v2 = float(0.5 * np.sum((np.exp(-1j * d0) * kernel).real))
-    return exchange, re_a, pair, u2, v2
+    # e^{id} gives cos d as its real part and e^{-id} as its conjugate
+    def separated(d, wd, t):
+        wr = two_point(r_bar, d, cutoff)
+        e = np.exp(1j * d)
+        return (wd * (t - d) * e.real * wr,
+                wd * wr.real * (np.exp(1j * (2.0 * t - d)) - e))
+
+    def local(d, wd, t):
+        kernel = wd * (t - d) * two_point(0.0, d, cutoff)
+        e = np.exp(1j * d)
+        return (e.real * kernel.real, (e * kernel).real, (e.conj() * kernel).real)
+
+    exchange, pair = _integrate(tau, r_bar, cutoff, n, separated)
+    re_a, u2, v2 = _integrate(tau, 0.0, cutoff, n, local)
+    return 0.5 * exchange, -0.5 * re_a, (-0.25 / 1j) * pair, 0.5 * u2, 0.5 * v2
 
 
-def compute_amplitudes(p: ModelParams, xi: float) -> PerturbativeAmplitudes:
-    """All second-order amplitudes at one (xi, coupling) point.
+def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
+    """All second-order amplitudes at the coupling of ``p``, for one xi or
+    an array of them (then every field is an array of the same shape).
 
     With tau = xi * r_bar and w the two-point function, the amplitudes are
     double-time integrals over [0, tau]^2:
@@ -196,23 +262,20 @@ def compute_amplitudes(p: ModelParams, xi: float) -> PerturbativeAmplitudes:
     squared pair coherence, so g2 = u2*v2 + |L|^2; it is 0, flagged as
     disabled, when the params switch it off.
     """
-    if not (math.isfinite(xi) and xi >= 0):
-        raise ValueError(f"xi must be finite and >= 0, got {xi}")
-    k = p.coupling
-    ex_1, re_a_1, pair_1, u2_1, v2_1 = _reduced_amplitudes(
-        xi * p.r_bar, p.r_bar, p.cutoff, p.quad_points
-    )
-    g2 = k * k * (u2_1 * v2_1 + abs(pair_1) ** 2) if p.include_two_photon else 0.0
-    return PerturbativeAmplitudes(
-        xi=xi,
-        re_a=k * re_a_1,
-        exchange=k * ex_1,
-        u2=k * u2_1,
-        v2=k * v2_1,
-        pair_coherence=k * pair_1,
-        g2=g2,
-        two_photon_enabled=p.include_two_photon,
-    )
+    xi = np.asarray(xi, dtype=float)
+    bad = xi[~(np.isfinite(xi) & (xi >= 0))]
+    if bad.size:
+        raise ValueError(f"xi must be finite and >= 0, got {bad[0]}")
+    tau = xi.reshape(-1) * p.r_bar
+    live = tau > 0.0
+    unit = [np.zeros(tau.shape, t) for t in (complex, float, complex, float, float)]
+    if live.any():
+        for out, value in zip(unit, _unit_integrals(tau[live], p.r_bar, p.cutoff, p.quad_points)):
+            out[live] = value
+    ex, re_a, pair, u2, v2 = unit
+    g2 = u2 * v2 + np.abs(pair) ** 2 if p.include_two_photon else np.zeros(tau.shape)
+    values = (unwrap_scalar(a.reshape(xi.shape)) for a in (xi, re_a, ex, u2, v2, pair, g2))
+    return PerturbativeAmplitudes(*values, p.include_two_photon).scaled(p.coupling)
 
 
 def assemble(
@@ -221,71 +284,45 @@ def assemble(
     """Assemble the X-patterned reduced density matrix from the amplitudes.
 
     Returns the unnormalized coefficients (with their sum c) and the
-    c-normalized 4x4 matrix. Raises ValueError naming the first non-finite
-    amplitude. Raises :class:`OutOfRegimeError` when the vacuum-sector
-    population 1 + 2*re_a is not positive, or when the smaller eigenvalue of
-    either 2x2 X-block of the normalized state is below -POSITIVITY_ATOL;
-    both signal a coupling too strong for the second-order truncation at
-    this time.
+    c-normalized matrix: (4, 4) for scalar amplitudes, (..., 4, 4) for
+    arrays. Raises ValueError naming the first non-finite amplitude field.
+    Raises :class:`OutOfRegimeError` for the first point, in array order,
+    where the vacuum-sector population 1 + 2*re_a is not positive or where
+    the smaller eigenvalue of either 2x2 X-block of the normalized state is
+    below -POSITIVITY_ATOL; both signal a coupling too strong for the
+    second-order truncation at this time.
     """
     for name in ("re_a", "exchange", "u2", "v2", "pair_coherence", "g2"):
-        value = getattr(amps, name)
-        if not cmath.isfinite(value):
-            raise ValueError(f"amplitude {name} must be finite, got {value}")
+        value = np.ravel(getattr(amps, name))
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"amplitude {name} must be finite, got {bad[0]}")
     rho11 = amps.v2
     rho22 = 1.0 + 2.0 * amps.re_a
-    rho33 = abs(amps.exchange) ** 2 + amps.g2
+    rho33 = np.abs(amps.exchange) ** 2 + amps.g2
     rho44 = amps.u2
-    if rho22 <= 0.0:
-        raise OutOfRegimeError(
-            f"rho22 = {rho22:.6f} <= 0 at xi = {amps.xi:g}, "
-            f"coupling = {p.coupling:g}: second-order truncation invalid"
-        )
     rho14 = np.conj(amps.pair_coherence)
     rho23 = np.conj(amps.exchange)
     c = rho11 + rho22 + rho33 + rho44
-    min_eig = min(
-        0.5 * (a + b) - math.hypot(0.5 * (a - b), abs(z))
-        for a, b, z in ((rho11, rho44, rho14), (rho22, rho33, rho23))
-    ) / c
-    if min_eig < -POSITIVITY_ATOL:
-        raise OutOfRegimeError(
-            f"state not positive: min eigenvalue = {min_eig:.3e} at xi = {amps.xi:g}, "
-            f"coupling = {p.coupling:g}: second-order truncation invalid"
-        )
-    coeffs = XStateCoefficients(
-        rho11=rho11, rho22=rho22, rho33=rho33, rho44=rho44,
-        rho14=complex(rho14), rho23=complex(rho23), c=c,
-    )
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = rho11, rho22, rho33, rho44
-    rho[0, 3], rho[3, 0] = rho14, np.conj(rho14)
-    rho[1, 2], rho[2, 1] = rho23, np.conj(rho23)
-    return coeffs, rho / c
-
-
-CSV_AMPLITUDE_HEADER = (
-    "xi", "K", "r_bar", "cutoff", "re_A", "re_X", "im_X",
-    "u2", "v2", "re_L", "im_L", "g2", "c",
-)
-
-
-def csv_amplitude_row(
-    p: ModelParams, amps: PerturbativeAmplitudes, coeffs: XStateCoefficients
-) -> dict:
-    """Amplitude-dump values keyed by the fixed CSV header names."""
-    return {
-        "xi": amps.xi,
-        "K": p.coupling,
-        "r_bar": p.r_bar,
-        "cutoff": p.cutoff,
-        "re_A": amps.re_a,
-        "re_X": amps.exchange.real,
-        "im_X": amps.exchange.imag,
-        "u2": amps.u2,
-        "v2": amps.v2,
-        "re_L": amps.pair_coherence.real,
-        "im_L": amps.pair_coherence.imag,
-        "g2": amps.g2,
-        "c": coeffs.c,
-    }
+    with np.errstate(divide="ignore", invalid="ignore"):
+        min_eig = np.minimum(*(
+            0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(z))
+            for a, b, z in ((rho11, rho44, rho14), (rho22, rho33, rho23))
+        )) / c
+    failed = np.flatnonzero((rho22 <= 0.0) | (min_eig < -POSITIVITY_ATOL))
+    if failed.size:  # name the first failing point in array order
+        xi, r22, eig = (np.broadcast_to(v, np.shape(c)).flat[failed[0]]
+                        for v in (amps.xi, rho22, min_eig))
+        where = f"at xi = {xi:g}, coupling = {p.coupling:g}: second-order truncation invalid"
+        if r22 <= 0.0:
+            raise OutOfRegimeError(f"rho22 = {r22:.6f} <= 0 {where}", xi)
+        raise OutOfRegimeError(f"state not positive: min eigenvalue = {eig:.3e} {where}", xi)
+    coeffs = XStateCoefficients(*(
+        unwrap_scalar(v) for v in (rho11, rho22, rho33, rho44, rho14, rho23, c)
+    ))
+    rho = np.zeros(np.shape(c) + (4, 4), dtype=complex)
+    rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = rho11, rho22, rho33, rho44
+    rho[..., 0, 3], rho[..., 3, 0] = rho14, np.conj(rho14)
+    rho[..., 1, 2], rho[..., 2, 1] = rho23, np.conj(rho23)
+    rho /= np.asarray(c)[..., None, None]
+    return coeffs, rho

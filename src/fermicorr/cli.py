@@ -11,11 +11,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .amplitudes import (
+    AMPLITUDE_NAMES,
     CSV_AMPLITUDE_HEADER,
     DEFAULT_CUTOFF,
     DEFAULT_QUAD_POINTS,
@@ -23,11 +24,12 @@ from .amplitudes import (
     OutOfRegimeError,
     PerturbativeAmplitudes,
     XStateCoefficients,
+    amplitude_fields,
     assemble,
     compute_amplitudes,
-    csv_amplitude_row,
 )
 from .measures import (
+    BELL_CLASSICAL,
     bell_opt,
     connected_correlation,
     geometric_discord,
@@ -52,6 +54,9 @@ DEFAULT_XI_STEPS = 401
 SWEEP_HEADER = CSV_AMPLITUDE_HEADER + (
     "sqrtD", "negativity", "conn_corr", "bell_chsh", "bell_opt", "hierarchy_ok",
 )
+
+# Rows formatted per write, so the text of a long sweep is never all in memory.
+_CSV_BLOCK_ROWS = 4096
 
 ORACLE_TOLERANCES = {
     "discord": 1e-5,
@@ -87,52 +92,54 @@ class SweepSpec:
         return np.linspace(self.xi_min, self.xi_max, self.xi_steps)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_csv(path: str, header, rows) -> None:
-    """Comma-separated values, LF line endings, 17 significant digits."""
+def write_csv(path: str, header, columns) -> None:
+    """Comma-separated values from equal-length columns keyed by header name:
+    LF line endings, 17 significant digits, booleans as true/false."""
+    values = [np.asarray(columns[name]) for name in header]
+    values = [np.where(v, "true", "false") if v.dtype == bool else v for v in values]
+    template = ",".join("%s" if v.dtype.kind == "U" else "%.17g" for v in values) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
+        for start in range(0, len(values[0]), _CSV_BLOCK_ROWS):
+            rows = zip(*(v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values))
+            fh.writelines(template % row for row in rows)
 
 
-def sweep_row(p: ModelParams, xi: float) -> dict:
-    """One sweep point: amplitudes, coefficients and the measure report."""
-    amps = compute_amplitudes(p, xi)
-    coeffs, rho = assemble(p, amps)
-    rep = report(rho, coeffs, amps)
-    row = csv_amplitude_row(p, amps, coeffs)
-    row.update(
-        sqrtD=rep.sqrt_discord,
-        negativity=rep.negativity,
-        conn_corr=rep.connected_corr,
-        bell_chsh=rep.bell_chsh,
-        bell_opt=rep.bell_opt,
-        hierarchy_ok=rep.hierarchy_ok,
-    )
-    return row
+def run_sweep(spec: SweepSpec) -> dict:
+    """Sweep columns keyed by SWEEP_HEADER name, with rows ordered by
+    (coupling, xi) ascending; deterministic.
 
-
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """All sweep rows ordered by (coupling, xi) ascending; deterministic.
-
-    Every coupling is evaluated at one xi before the next xi, so the
-    coupling-free quadrature of each xi is computed once and reused at once,
-    whatever the grid size and the amplitude cache size.
+    The coupling-free quadrature runs once over the whole xi grid and is
+    rescaled for each coupling; the states of all couplings are validated
+    and measured as one stack. When points are out of regime, the error
+    names the first failing (xi, coupling) in xi order.
     """
-    params = [replace(spec.params, coupling=k) for k in sorted(spec.couplings)]
-    blocks = [[] for _ in params]
-    for xi in spec.xi_grid():
-        for p, block in zip(params, blocks):
-            block.append(sweep_row(p, float(xi)))
-    return [row for block in blocks for row in block]
+    xi = spec.xi_grid()
+    couplings = np.array(sorted(spec.couplings))
+    unit = compute_amplitudes(replace(spec.params, coupling=1.0), xi)
+    blocks, errors = [], []
+    for k in couplings:
+        try:
+            blocks.append(assemble(replace(spec.params, coupling=float(k)), unit.scaled(k)))
+        except OutOfRegimeError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.xi)
+    # each del drops a copy as soon as it is used: a long grid peaks lower
+    coeffs, rho = zip(*blocks)
+    del blocks
+    coeffs = XStateCoefficients(*map(np.stack, zip(*(vars(c).values() for c in coeffs))))
+    rho = np.stack(rho)
+    amps = unit.scaled(couplings[:, None])
+    rep = report(rho, coeffs, amps)
+    del rho
+    columns = {**amplitude_fields(amps), "K": couplings[:, None], "r_bar": spec.params.r_bar,
+               "cutoff": spec.params.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
+               "negativity": rep.negativity, "conn_corr": rep.connected_corr,
+               "bell_chsh": rep.bell_chsh, "bell_opt": rep.bell_opt,
+               "hierarchy_ok": rep.hierarchy_ok}
+    shape = (len(couplings), xi.size)
+    return {name: np.broadcast_to(columns[name], shape).ravel() for name in SWEEP_HEADER}
 
 
 def state_dump(params: ModelParams, xi: float) -> dict:
@@ -140,33 +147,11 @@ def state_dump(params: ModelParams, xi: float) -> dict:
     amps = compute_amplitudes(params, xi)
     coeffs, rho = assemble(params, amps)
     return {
-        "params": {
-            "r_bar": params.r_bar,
-            "coupling": params.coupling,
-            "cutoff": params.cutoff,
-            "quad_points": params.quad_points,
-            "include_two_photon": params.include_two_photon,
-        },
-        "amplitudes": {
-            "xi": amps.xi,
-            "re_A": amps.re_a,
-            "re_X": amps.exchange.real,
-            "im_X": amps.exchange.imag,
-            "u2": amps.u2,
-            "v2": amps.v2,
-            "re_L": amps.pair_coherence.real,
-            "im_L": amps.pair_coherence.imag,
-            "g2": amps.g2,
-            "two_photon_enabled": amps.two_photon_enabled,
-        },
+        "params": asdict(params),
+        "amplitudes": amplitude_fields(amps),
         "coefficients": {
-            "rho11": coeffs.rho11,
-            "rho22": coeffs.rho22,
-            "rho33": coeffs.rho33,
-            "rho44": coeffs.rho44,
-            "rho14": [coeffs.rho14.real, coeffs.rho14.imag],
-            "rho23": [coeffs.rho23.real, coeffs.rho23.imag],
-            "c": coeffs.c,
+            name: [value.real, value.imag] if isinstance(value, complex) else value
+            for name, value in asdict(coeffs).items()
         },
         "rho": state_to_json(rho),
     }
@@ -174,24 +159,15 @@ def state_dump(params: ModelParams, xi: float) -> dict:
 
 def load_state_dump(doc: dict):
     """Rebuild (params, amplitudes, coefficients, rho) from a state dump."""
-    p = ModelParams(**doc["params"])
-    a = doc["amplitudes"]
-    amps = PerturbativeAmplitudes(
-        xi=a["xi"],
-        re_a=a["re_A"],
-        exchange=complex(a["re_X"], a["im_X"]),
-        u2=a["u2"],
-        v2=a["v2"],
-        pair_coherence=complex(a["re_L"], a["im_L"]),
-        g2=a["g2"],
-        two_photon_enabled=a["two_photon_enabled"],
-    )
-    co = doc["coefficients"]
-    coeffs = XStateCoefficients(
-        rho11=co["rho11"], rho22=co["rho22"], rho33=co["rho33"], rho44=co["rho44"],
-        rho14=complex(*co["rho14"]), rho23=complex(*co["rho23"]), c=co["c"],
-    )
-    return p, amps, coeffs, state_from_json(doc["rho"])
+    a, co = doc["amplitudes"], doc["coefficients"]
+    amps = PerturbativeAmplitudes(**{
+        attr: complex(a[name[0]], a[name[1]]) if isinstance(name, tuple) else a[name]
+        for attr, name in AMPLITUDE_NAMES.items()
+    })
+    coeffs = XStateCoefficients(**{
+        name: complex(*value) if isinstance(value, list) else value for name, value in co.items()
+    })
+    return ModelParams(**doc["params"]), amps, coeffs, state_from_json(doc["rho"])
 
 
 def oracle_check(count: int, seed: int, grid: DirectionGrid) -> dict:
@@ -245,11 +221,11 @@ def figures(out_dir: str, spec: SweepSpec) -> list[str]:
     fig4: the same measures on a denser coupling grid (surface data).
     fig5: both Bell parameters vs xi plus the classical threshold column.
     """
-    rows = run_sweep(spec)
+    columns = run_sweep(spec)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     path = os.path.join(out_dir, "fig1.csv")
-    write_csv(path, FIG1_COLUMNS, rows)
+    write_csv(path, FIG1_COLUMNS, columns)
     paths.append(path)
 
     dense = np.linspace(min(spec.couplings), max(spec.couplings), 9)
@@ -258,10 +234,9 @@ def figures(out_dir: str, spec: SweepSpec) -> list[str]:
     write_csv(path, FIG4_COLUMNS, run_sweep(dense_spec))
     paths.append(path)
 
-    for row in rows:
-        row["bell_classical"] = 2.0
+    columns["bell_classical"] = np.full(columns["xi"].size, BELL_CLASSICAL)
     path = os.path.join(out_dir, "fig5.csv")
-    write_csv(path, FIG5_COLUMNS, rows)
+    write_csv(path, FIG5_COLUMNS, columns)
     paths.append(path)
     return paths
 

@@ -3,7 +3,8 @@ Bell parameters, and their closed forms for the perturbative X-state.
 
 Generic measures take a 4x4 density matrix; the closed forms consume raw
 (unnormalized) amplitudes, and the Bell parameters consume coefficients that
-they normalize by c internally.
+they normalize by c internally. The closed forms and the Bell parameters
+take scalars or arrays over a stack of points, and return the same.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import PerturbativeAmplitudes, XStateCoefficients
-from .states import decompose, partial_transpose, validate_state
+from .states import decompose, partial_transpose, unwrap_scalar, validate_state
 
 BELL_CLASSICAL = 2.0
 BELL_TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -23,7 +24,8 @@ HIERARCHY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All correlation quantifiers of one sweep point (X-state closed forms)."""
+    """All correlation quantifiers of one sweep point (X-state closed forms),
+    or arrays of them over a stack of points."""
 
     sqrt_discord: float
     negativity: float
@@ -70,25 +72,24 @@ def connected_correlation(rho: np.ndarray) -> float:
 def sqrt_discord_xstate(amps: PerturbativeAmplitudes) -> float:
     """Second-order closed form of the square-root geometric discord:
     sqrt([Re pair]^2 + |exchange|^2)."""
-    return math.hypot(amps.pair_coherence.real, abs(amps.exchange))
+    return unwrap_scalar(np.hypot(np.real(amps.pair_coherence), np.abs(amps.exchange)))
 
 
 def negativity_xstate(amps: PerturbativeAmplitudes) -> float:
     """Second-order closed form of the negativity:
     max{0, sqrt((u2 - v2)^2 + 4|exchange|^2) - u2 - v2}."""
-    root = math.hypot(amps.u2 - amps.v2, 2.0 * abs(amps.exchange))
-    return max(0.0, root - amps.u2 - amps.v2)
+    root = np.hypot(amps.u2 - amps.v2, 2.0 * np.abs(amps.exchange))
+    return unwrap_scalar(np.maximum(0.0, root - amps.u2 - amps.v2))
 
 
 def entanglement_onset(amps: PerturbativeAmplitudes) -> bool:
     """True iff the exchange term dominates the emission weights,
     |exchange|^2 > u2*v2, which is exactly where the negativity closed form
     leaves zero."""
-    x2 = abs(amps.exchange) ** 2
+    x2 = np.abs(amps.exchange) ** 2
     prod = amps.u2 * amps.v2
-    if prod == 0.0:
-        return x2 > 0.0
-    return x2 / prod > 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return unwrap_scalar(np.where(prod == 0.0, x2 > 0.0, x2 / prod > 1.0))
 
 
 def connected_correlation_xstate(amps: PerturbativeAmplitudes) -> float:
@@ -101,8 +102,8 @@ def connected_correlation_xstate(amps: PerturbativeAmplitudes) -> float:
     against g2 to leave -4(|exchange|^2 + |pair|^2) at O(K^2). The first
     branch is that longitudinal magnitude; the O(K) equatorial branch
     carries the signal."""
-    x, pair = abs(amps.exchange), abs(amps.pair_coherence)
-    return max(4.0 * (x * x + pair * pair), 2.0 * (x + pair))
+    x, pair = np.abs(amps.exchange), np.abs(amps.pair_coherence)
+    return unwrap_scalar(np.maximum(4.0 * (x * x + pair * pair), 2.0 * (x + pair)))
 
 
 def _normalized(coeffs: XStateCoefficients):
@@ -118,7 +119,9 @@ def bell_chsh(coeffs: XStateCoefficients) -> float:
     -sqrt(2) (rho11 + rho44 - rho22 - rho33 + 2 Re rho23 + 2 Re rho14),
     on c-normalized coefficients."""
     r11, r22, r33, r44, r14, r23 = _normalized(coeffs)
-    return float(-math.sqrt(2.0) * (r11 + r44 - r22 - r33 + 2.0 * r23.real + 2.0 * r14.real))
+    return unwrap_scalar(
+        -math.sqrt(2.0) * (r11 + r44 - r22 - r33 + 2.0 * np.real(r23) + 2.0 * np.real(r14))
+    )
 
 
 def bell_opt(coeffs: XStateCoefficients) -> float:
@@ -126,25 +129,26 @@ def bell_opt(coeffs: XStateCoefficients) -> float:
     2 sqrt(u1 + max(u2, u3)) with u1 = 4(|rho14| + |rho23|)^2,
     u2 = (rho11 + rho44 - rho22 - rho33)^2, u3 = 4(|rho14| - |rho23|)^2."""
     r11, r22, r33, r44, r14, r23 = _normalized(coeffs)
-    u1 = 4.0 * (abs(r14) + abs(r23)) ** 2
+    u1 = 4.0 * (np.abs(r14) + np.abs(r23)) ** 2
     u2 = (r11 + r44 - r22 - r33) ** 2
-    u3 = 4.0 * (abs(r14) - abs(r23)) ** 2
-    return float(2.0 * math.sqrt(u1 + max(u2, u3)))
+    u3 = 4.0 * (np.abs(r14) - np.abs(r23)) ** 2
+    return unwrap_scalar(2.0 * np.sqrt(u1 + np.maximum(u2, u3)))
 
 
 def report(
     rho: np.ndarray, coeffs: XStateCoefficients, amps: PerturbativeAmplitudes
 ) -> CorrelationReport:
-    """Aggregate all quantifiers of one sweep point.
+    """Aggregate all quantifiers of one sweep point, or of a stack of them
+    (then ``rho`` is (..., 4, 4) and every field an array).
 
-    The density matrix is validated against the state invariants; the
-    correlation values come from the X-state closed forms.
+    The density matrices are validated against the state invariants in one
+    call; the correlation values come from the X-state closed forms.
     """
     validate_state(rho)
     sd = sqrt_discord_xstate(amps)
     n = negativity_xstate(amps)
     c = connected_correlation_xstate(amps)
-    ok = (c >= sd - HIERARCHY_TOL) and (sd >= n - HIERARCHY_TOL)
+    ok = (c >= sd - HIERARCHY_TOL) & (sd >= n - HIERARCHY_TOL)
     return CorrelationReport(
         sqrt_discord=sd,
         negativity=n,

@@ -36,24 +36,33 @@ class StateValidationError(ValueError):
 def validate_state(rho: np.ndarray, check_positivity: bool = True) -> np.ndarray:
     """Check the density-matrix invariants of ``rho`` and return it as complex.
 
-    Hermiticity and unit trace are always required; the positive
-    semidefiniteness check can be switched off for intermediate
+    ``rho`` is one (4, 4) matrix or a (..., 4, 4) stack of them; each
+    invariant is checked over the whole stack at once and reported by its
+    worst value. Hermiticity and unit trace are always required; the
+    positive semidefiniteness check can be switched off for intermediate
     (non-normalized) matrices.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise StateValidationError(f"shape: expected (4, 4), got {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    if rho.shape[-2:] != (4, 4):
+        raise StateValidationError(f"shape: expected (..., 4, 4), got {rho.shape}")
+    gap = rho.conj().swapaxes(-1, -2)  # conj() copies, so subtract in place
+    gap -= rho
+    herm = np.abs(gap).max()
     if herm > HERMITICITY_ATOL:
         raise StateValidationError(f"hermiticity: max |rho - rho^dag| = {herm:.3e}")
-    tr = abs(np.trace(rho) - 1.0)
+    tr = abs(rho.trace(0, -2, -1) - 1.0).max()
     if tr > TRACE_ATOL:
         raise StateValidationError(f"trace: |Tr(rho) - 1| = {tr:.3e}")
     if check_positivity:
-        lo = np.linalg.eigvalsh(rho)[0]
+        lo = np.linalg.eigvalsh(rho).min()
         if lo < -POSITIVITY_ATOL:
             raise StateValidationError(f"positivity: min eigenvalue = {lo:.3e}")
     return rho
+
+
+def unwrap_scalar(value):
+    """A Python scalar for a 0-d value, the array itself otherwise."""
+    return np.asarray(value).item() if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -85,21 +94,6 @@ def decompose(rho: np.ndarray) -> BlochDecomposition:
     return BlochDecomposition(x=x, y=y, t=t)
 
 
-def reconstruct(b: BlochDecomposition) -> np.ndarray:
-    """Rebuild the 4x4 matrix from a Bloch decomposition.
-
-    The output is Hermitian with unit trace by construction; positivity is
-    not guaranteed and not checked.
-    """
-    rho = np.eye(4, dtype=complex)
-    for i, s in enumerate(PAULI):
-        rho += b.x[i] * np.kron(s, IDENTITY_2)
-        rho += b.y[i] * np.kron(IDENTITY_2, s)
-        for j, sj in enumerate(PAULI):
-            rho += b.t[i, j] * np.kron(s, sj)
-    return 0.25 * rho
-
-
 def partial_transpose(rho: np.ndarray, party: str = "A") -> np.ndarray:
     """Transpose the indices of one qubit; trace and hermiticity survive,
     eigenvalues may turn negative for entangled states."""
@@ -112,12 +106,6 @@ def partial_transpose(rho: np.ndarray, party: str = "A") -> np.ndarray:
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     return out.reshape(4, 4).copy()
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr rho^2."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
 
 
 def random_state(seed: int, kind: str = "mixed") -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Shared fixtures: the default sweep (computed once per session) and params."""
+"""Shared fixtures and helpers: the default sweep (computed once per
+session), params, and state helpers used only by the tests."""
 import time
 
 import numpy as np
 import pytest
 
 from fermicorr import ModelParams
+from fermicorr.states import IDENTITY_2, PAULI
 from fermicorr.cli import (
     DEFAULT_COUPLINGS,
     DEFAULT_R_BAR,
@@ -32,9 +34,15 @@ def default_sweep():
         params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=DEFAULT_COUPLINGS[0]),
     )
     start = time.perf_counter()
-    rows = run_sweep(spec)
+    rows = sweep_rows(run_sweep(spec))
     elapsed = time.perf_counter() - start
     return {"spec": spec, "rows": rows, "elapsed": elapsed}
+
+
+def sweep_rows(columns):
+    """Row dicts of Python scalars from the columns of :func:`run_sweep`."""
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*(columns[n].tolist() for n in names))]
 
 
 def sweep_block(rows, coupling):
@@ -47,3 +55,24 @@ def bell_projector():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
     return rho
+
+
+def reconstruct(b):
+    """Rebuild the 4x4 matrix from a Bloch decomposition.
+
+    The output is Hermitian with unit trace by construction; positivity is
+    not guaranteed and not checked.
+    """
+    rho = np.eye(4, dtype=complex)
+    for i, s in enumerate(PAULI):
+        rho += b.x[i] * np.kron(s, IDENTITY_2)
+        rho += b.y[i] * np.kron(IDENTITY_2, s)
+        for j, sj in enumerate(PAULI):
+            rho += b.t[i, j] * np.kron(s, sj)
+    return 0.25 * rho
+
+
+def purity(rho):
+    """Tr rho^2."""
+    rho = np.asarray(rho, dtype=complex)
+    return float(np.trace(rho @ rho).real)

@@ -2,6 +2,7 @@
 exit codes and output determinism."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ import pytest
 from fermicorr import (
     DirectionGrid,
     ModelParams,
+    amplitudes,
+    assemble,
     bell_chsh,
-    bell_opt,
     compute_amplitudes,
     connected_correlation_xstate,
     negativity_xstate,
     entanglement_onset,
+    report,
     sqrt_discord_xstate,
 )
-from fermicorr.amplitudes import _AMPLITUDE_CACHE_SIZE, _reduced_amplitudes
+from fermicorr.amplitudes import amplitude_fields
 from fermicorr.cli import (
+    DEFAULT_COUPLINGS,
+    DEFAULT_XI_STEPS,
     SWEEP_HEADER,
     SweepSpec,
     figures,
@@ -29,6 +34,8 @@ from fermicorr.cli import (
     state_dump,
     write_csv,
 )
+
+from conftest import sweep_rows
 
 R_BAR = math.pi / 4.0
 
@@ -52,8 +59,21 @@ def test_sweep_spec_validation():
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(-0.1,), params=p)
 
 
+def two_point_sizes(monkeypatch):
+    """Sizes of the time arrays passed to two_point from now on."""
+    sizes = []
+    kernel = amplitudes.two_point
+
+    def counted(dx, dt, cutoff):
+        sizes.append(np.size(dt))
+        return kernel(dx, dt, cutoff)
+
+    monkeypatch.setattr(amplitudes, "two_point", counted)
+    return sizes
+
+
 def test_sweep_rows_ordered_and_initial_point():
-    rows = run_sweep(small_spec())
+    rows = sweep_rows(run_sweep(small_spec()))
     keys = [(r["K"], r["xi"]) for r in rows]
     assert keys == sorted(keys)
     for coupling in (0.02, 0.04):
@@ -77,7 +97,7 @@ def test_sweep_csv_layout(tmp_path):
     spec = small_spec(couplings=(0.04,), steps=3)
     path = tmp_path / "sweep.csv"
     write_csv(path, SWEEP_HEADER, run_sweep(spec))
-    lines = open(path, newline="").read().split("\n")
+    lines = path.read_bytes().decode().split("\n")  # keeps the line endings as written
     assert lines[0] == (
         "xi,K,r_bar,cutoff,re_A,re_X,im_X,u2,v2,re_L,im_L,g2,c,"
         "sqrtD,negativity,conn_corr,bell_chsh,bell_opt,hierarchy_ok"
@@ -89,17 +109,65 @@ def test_sweep_csv_layout(tmp_path):
     assert float(fields[2]) == R_BAR
 
 
-def test_sweep_beyond_cache_size_computes_each_xi_once():
-    steps = 2100
-    assert steps > _AMPLITUDE_CACHE_SIZE
-    spec = small_spec(couplings=(0.06, 0.02, 0.04), steps=steps, cutoff=300.0)
-    _reduced_amplitudes.cache_clear()
-    rows = run_sweep(spec)
-    info = _reduced_amplitudes.cache_info()
-    assert (info.misses, info.hits) == (steps, 2 * steps)
-    assert [(r["K"], r["xi"]) for r in rows] == [
+def test_sweep_computes_each_xi_once(monkeypatch):
+    # whatever the grid size and the coupling count, the sweep evaluates the
+    # two-point function at exactly the nodes of its xi points taken one by one
+    spec = small_spec(couplings=(0.06, 0.02, 0.04), steps=2100, cutoff=300.0)
+    sizes = two_point_sizes(monkeypatch)
+    columns = run_sweep(spec)
+    swept = sum(sizes)
+    sizes.clear()
+    for xi in spec.xi_grid():
+        compute_amplitudes(spec.params, float(xi))
+    assert swept == sum(sizes)
+    assert list(zip(columns["K"].tolist(), columns["xi"].tolist())) == [
         (k, float(xi)) for k in (0.02, 0.04, 0.06) for xi in spec.xi_grid()
     ]
+
+
+def test_sweep_memory_does_not_grow_with_grid(monkeypatch):
+    sizes = two_point_sizes(monkeypatch)
+    run_sweep(small_spec(couplings=DEFAULT_COUPLINGS, steps=DEFAULT_XI_STEPS, cutoff=300.0))
+    default_largest = max(sizes)
+    sizes.clear()
+    run_sweep(small_spec(couplings=DEFAULT_COUPLINGS, steps=5000, cutoff=300.0))
+    assert max(sizes) <= default_largest
+
+
+def test_sweep_rows_match_point_route():
+    spec = small_spec(couplings=(0.04, 0.02), steps=9, cutoff=300.0)
+    assert {0.0, 1.0} <= set(spec.xi_grid().tolist())
+    rows = iter(sweep_rows(run_sweep(spec)))
+    for k in (0.02, 0.04):
+        p = replace(spec.params, coupling=k)
+        for xi in spec.xi_grid():
+            amps = compute_amplitudes(p, float(xi))
+            coeffs, rho = assemble(p, amps)
+            rep = report(rho, coeffs, amps)
+            expected = {
+                **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
+                "c": coeffs.c, "sqrtD": rep.sqrt_discord, "negativity": rep.negativity,
+                "conn_corr": rep.connected_corr, "bell_chsh": rep.bell_chsh,
+                "bell_opt": rep.bell_opt,
+            }
+            row = next(rows)
+            assert row["hierarchy_ok"] is rep.hierarchy_ok
+            for name in SWEEP_HEADER[:-1]:
+                assert row[name] == pytest.approx(expected[name], rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--coupling", "0.3", "--coupling", "0.2", "--cutoff", "300", "--xi-steps", "5"],
+     "rho22 = -0.922245 <= 0 at xi = 0.5, coupling = 0.2"),
+    (["--coupling", "0.06", "--coupling", "0.07", "--cutoff", "1000",
+      "--xi-min", "1.9", "--xi-max", "2", "--xi-steps", "3"],
+     "min eigenvalue = -6.122e-04 at xi = 1.9, coupling = 0.06"),
+])
+def test_sweep_names_first_failing_point(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_cli_out_of_regime(tmp_path):
@@ -245,7 +313,7 @@ def test_figures_cli_creates_out_dir(tmp_path):
 def test_negativity_onset_matches_condition_on_grid():
     # the first grid time with positive negativity coincides with the first
     # crossing of the exchange-dominance condition (both may be absent)
-    rows = run_sweep(small_spec(couplings=(0.05,), steps=41))
+    rows = sweep_rows(run_sweep(small_spec(couplings=(0.05,), steps=41)))
     p = ModelParams(r_bar=R_BAR, coupling=0.05, cutoff=50.0)
     onset_neg = [r["xi"] for r in rows if r["negativity"] > 0.0]
     onset_cond = [r["xi"] for r in rows if entanglement_onset(compute_amplitudes(p, r["xi"]))]

@@ -210,6 +210,32 @@ def test_bell_opt_range_on_random_xstates():
 # report and hierarchy
 # ---------------------------------------------------------------------------
 
+def test_closed_forms_take_arrays():
+    # an xi grid in one call equals the points one by one; scalars stay Python types
+    p = ModelParams(r_bar=R_BAR, coupling=0.04)
+    xis = np.linspace(0.0, 2.0, 9)
+    stack = compute_amplitudes(p, xis)
+    coeffs, rho = assemble(p, stack)
+    rep = report(rho, coeffs, stack)
+    assert rho.shape == (9, 4, 4)
+    for i, xi in enumerate(xis):
+        amps = compute_amplitudes(p, float(xi))
+        co, one_rho = assemble(p, amps)
+        for fn, one, many in (
+            (sqrt_discord_xstate, amps, stack),
+            (negativity_xstate, amps, stack),
+            (connected_correlation_xstate, amps, stack),
+            (bell_chsh, co, coeffs),
+            (bell_opt, co, coeffs),
+        ):
+            value = fn(one)
+            assert type(value) is float
+            assert fn(many)[i] == pytest.approx(value, rel=1e-12, abs=0.0)
+        onset = entanglement_onset(amps)
+        assert type(onset) is bool
+        assert entanglement_onset(stack)[i] == onset
+        assert rep.hierarchy_ok[i] == report(one_rho, co, amps).hierarchy_ok
+
 def test_report_initial_point():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     amps = compute_amplitudes(p, 0.0)

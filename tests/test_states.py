@@ -9,15 +9,13 @@ from fermicorr import (
     StateValidationError,
     decompose,
     partial_transpose,
-    purity,
     random_state,
-    reconstruct,
     state_from_json,
     state_to_json,
     validate_state,
 )
 
-from conftest import bell_projector
+from conftest import bell_projector, purity, reconstruct
 
 
 def test_decompose_maximally_mixed():
@@ -60,6 +58,21 @@ def test_validate_rejects_negative_state():
     rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
     with pytest.raises(StateValidationError, match="positivity"):
         validate_state(rho)
+
+
+def test_validate_state_stack():
+    stack = np.stack([random_state(seed, kind) for seed in range(6)
+                      for kind in ("mixed", "pure", "xshape")]).reshape(3, 6, 4, 4)
+    assert validate_state(stack).shape == (3, 6, 4, 4)
+    bad = stack.copy()
+    bad[2, 4] = np.diag([0.7, 0.5, -0.1, -0.1])
+    with pytest.raises(StateValidationError, match=r"positivity: min eigenvalue = -1\.000e-01"):
+        validate_state(bad)
+    bad[1, 1, 0, 1] = 0.1
+    with pytest.raises(StateValidationError, match="hermiticity"):
+        validate_state(bad)
+    with pytest.raises(StateValidationError, match="shape"):
+        validate_state(stack[..., :3])
 
 
 def test_reconstruct_zero_bloch_is_maximally_mixed():
