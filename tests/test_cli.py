@@ -162,7 +162,7 @@ def test_sweep_rows_match_point_route():
     (["--coupling", "0.06", "--coupling", "0.07", "--cutoff", "1000",
       "--xi-min", "1.9", "--xi-max", "2", "--xi-steps", "3"],
      "min eigenvalue = -6.122e-04 at xi = 1.9, coupling = 0.06"),
-])
+], ids=["vacuum-population", "positivity"])
 def test_sweep_names_first_failing_point(tmp_path, capsys, argv, message):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", *argv, "--out", str(out)]) == 2
