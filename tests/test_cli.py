@@ -3,6 +3,7 @@ exit codes and output determinism."""
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from fermicorr import (
 from fermicorr.amplitudes import amplitude_fields
 from fermicorr.cli import (
     DEFAULT_COUPLINGS,
+    DEFAULT_R_BAR,
+    DEFAULT_XI_MAX,
+    DEFAULT_XI_MIN,
     DEFAULT_XI_STEPS,
     SWEEP_HEADER,
     SweepSpec,
@@ -154,6 +158,32 @@ def test_sweep_rows_match_point_route():
             assert row["hierarchy_ok"] is rep.hierarchy_ok
             for name in SWEEP_HEADER[:-1]:
                 assert row[name] == pytest.approx(expected[name], rel=1e-12, abs=0.0), name
+
+
+def test_sweep_matches_golden_csv():
+    # tests/data/sweep_xi41.csv is `fermicorr sweep --xi-steps 41` with the
+    # default parameters, written by the first release of the graded rule.
+    # Entries below 1e-13 of their column's maximum (the exact zeros at
+    # xi = 0, and re_L at xi = 2) are judged absolutely against that maximum.
+    golden = Path(__file__).parent / "data" / "sweep_xi41.csv"
+    header, *lines = golden.read_text().strip().split("\n")
+    assert tuple(header.split(",")) == SWEEP_HEADER
+    expected = dict(zip(SWEEP_HEADER, zip(*(line.split(",") for line in lines))))
+    spec = SweepSpec(
+        xi_min=DEFAULT_XI_MIN, xi_max=DEFAULT_XI_MAX, xi_steps=41, couplings=DEFAULT_COUPLINGS,
+        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=DEFAULT_COUPLINGS[0]),
+    )
+    columns = run_sweep(spec)
+    assert columns["hierarchy_ok"].tolist() == [v == "true" for v in expected["hierarchy_ok"]]
+    for name in SWEEP_HEADER[:-1]:
+        want = np.array(expected[name], dtype=float)
+        got = columns[name]
+        floor = 1e-13 * np.abs(want).max()
+        small = np.abs(want) < floor
+        assert np.all(np.abs(got - want)[small] <= floor), name
+        assert np.all(np.abs(got - want)[~small] <= 1e-9 * np.abs(want)[~small]), name
+    onset = np.array(expected["negativity"], dtype=float) > 0
+    assert (columns["negativity"] > 0).tolist() == onset.tolist()
 
 
 @pytest.mark.parametrize("argv, message", [
