@@ -13,11 +13,13 @@ light-cone peak, so its accuracy does not depend on the cutoff. The mode-sum
 evaluation of the emission weights and the pair coherence lives in
 :mod:`fermicorr.oracles` as an independent check.
 
-A whole xi grid is evaluated in one pass: the nodes of every xi are laid end
-to end and the integrands are evaluated a fixed number of nodes at a time, so
-memory does not grow with the grid. Each amplitude is linear (or, for the
-two-photon weight, quadratic) in the coupling, so a sweep computes the
-coupling-free integrals once and rescales them for every coupling.
+A whole xi grid is evaluated in one pass. The integrands are split into
+node moments that do not depend on xi, the graded panels of the grid are
+shared by every xi with the same panel count, and each distinct panel is
+evaluated once, a fixed number of nodes at a time, so memory does not grow
+with the grid. Each amplitude is linear (or, for the two-photon weight,
+quadratic) in the coupling, so a sweep computes the coupling-free integrals
+once and rescales them for every coupling.
 """
 from __future__ import annotations
 
@@ -163,9 +165,9 @@ def _leggauss(n: int):
     return leggauss(n)
 
 
-def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, terms):
-    """Per-tau sums of ``terms(d, wd, tau)`` over a composite Gauss-Legendre
-    rule on [0, tau], for every tau > 0 of an array.
+def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, moments):
+    """Per-tau sums of the tau-free node ``moments(d, wd)`` over a composite
+    Gauss-Legendre rule on [0, tau], for every tau > 0 of an array.
 
     The two-point function peaks in an eps-wide window at ``pole`` (the
     light-cone separation, or 0 for the equal-position kernel). With the pole
@@ -173,30 +175,39 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, terms):
     pole +- eps*4**k, so their widths grow geometrically away from the peak.
     The node budget ``n`` is split evenly over the panels (at least 8 per
     panel), which keeps the accuracy of the rule independent of the cutoff.
-    The nodes of all taus are laid end to end and evaluated _BLOCK_NODES at
-    a time; within a block each tau's terms are summed with np.add.reduceat.
-    Returns one array of sums per term.
+    These cuts are shared by every tau with the same panel count, so each
+    distinct panel (bitwise the same bounds and order) is evaluated once, its
+    nodes _BLOCK_NODES at a time, and each tau adds up the sums of its own
+    panels in panel order. Returns one array of per-tau sums per moment.
     """
     eps = 1.0 / cutoff
     pole = np.minimum(np.maximum(pole, 0.0), tau)
-    reach = np.maximum(pole, tau - pole)[:, None]
-    steps, longest = [eps], reach.max()
+    steps, longest = [eps], np.maximum(pole, tau - pole).max()
     while steps[-1] < longest:
         steps.append(steps[-1] * _PANEL_GROWTH)
     steps = np.array(steps)
-    cuts = [np.zeros_like(tau), pole, tau]
-    for c in (pole[:, None] - steps, pole[:, None] + steps):
-        cuts.append(np.where((steps < reach) & (0.0 < c) & (c < tau[:, None]), c, np.inf))
-    cuts = np.sort(np.column_stack(cuts), axis=1)
+    below, above = pole[:, None] - steps, pole[:, None] + steps
+    cuts = np.column_stack((np.zeros_like(tau), pole, tau, np.where(below > 0.0, below, np.inf),
+                            np.where(above < tau[:, None], above, np.inf)))
+    cuts.sort(axis=1)
     cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf  # each cut once
     cuts.sort(axis=1)
     valid = cuts[:, 1:] < np.inf
-    owner = np.nonzero(valid)[0]  # the tau of each panel
-    lower = cuts[:, :-1][valid]
-    half = 0.5 * (cuts[:, 1:][valid] - lower)
-    order = np.maximum(_MIN_PANEL_NODES, n // valid.sum(axis=1))[owner]
+    count = valid.sum(axis=1)
+    lower, upper = cuts[:, :-1][valid], cuts[:, 1:][valid]
+    order = np.maximum(_MIN_PANEL_NODES, n // count)[np.nonzero(valid)[0]]
+    distinct = np.arange(order.size)  # the distinct panel of each panel
+    if tau.size > 1:  # only panels of different taus can repeat
+        # lexsort and diff, as np.unique would import numpy.ma
+        keys = np.array((order, upper.view(np.int64), lower.view(np.int64)))
+        sort = np.lexsort(keys)
+        change = np.diff(keys[:, sort], axis=1) != 0
+        new = np.concatenate(([True], change[0] | change[1] | change[2]))
+        distinct[sort] = np.cumsum(new) - 1
+        lower, upper, order = (v[sort[new]] for v in (lower, upper, order))
+    half = 0.5 * (upper - lower)
     ends = np.cumsum(order)
-    orders = sorted(set(order.tolist()))  # np.unique would import numpy.ma
+    orders = sorted(set(order.tolist()))
     x_all, w_all = map(np.concatenate, zip(*(_leggauss(q) for q in orders)))
     # node g of panel p is entry table[p] + g of x_all and w_all
     table = (np.cumsum(orders) - orders)[np.searchsorted(orders, order)] - (ends - order)
@@ -205,41 +216,46 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, terms):
         g = np.arange(start, min(start + _BLOCK_NODES, ends[-1]))
         p = np.searchsorted(ends, g, side="right")
         k = table[p] + g
-        d = lower[p] + half[p] * (x_all[k] + 1.0)
-        rows = owner[p]
-        lo, hi = rows[0], rows[-1] + 1  # every tau has nodes, so the block holds lo..hi-1
-        first = np.searchsorted(rows, np.arange(lo, hi))
-        block = [np.add.reduceat(v, first) for v in terms(d, half[p] * w_all[k], tau[rows])]
-        sums = sums or [np.zeros(len(tau), v.dtype) for v in block]
+        h = half[p]
+        d = lower[p] + h * (x_all[k] + 1.0)
+        lo, hi = p[0], p[-1] + 1  # the block holds panels lo..hi-1
+        first = np.searchsorted(p, np.arange(lo, hi))
+        block = [np.add.reduceat(v, first) for v in moments(d, h * w_all[k])]
+        sums = sums or [np.zeros(order.size, v.dtype) for v in block]
         for total, v in zip(sums, block):
             total[lo:hi] += v
-    return sums
+    first = np.cumsum(count) - count
+    return [np.add.reduceat(total[distinct], first) for total in sums]
 
 
 def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float, n: int):
     """Coupling-free double-time integrals, reduced to the difference variable.
 
     For integrands f(t1 - t2) on the square [0, tau]^2 the exact reduction is
-    int_{-tau}^{tau} (tau - |d|) f(d) dd; for the pair amplitude the sum
-    variable integrates in closed form. The emission weights share the
-    zero-separation nodes of re_a, so u2 + v2 = -2 re_a node by node.
+    int_{-tau}^{tau} (tau - |d|) f(d) dd, taken as tau * sum(f) - sum(d f) so
+    that the node moments do not depend on tau; for the pair amplitude the
+    sum variable integrates in closed form, to
+    2i e^{i tau} (sin tau sum(Re w cos d) - cos tau sum(Re w sin d)). The
+    emission weights share the zero-separation moments of re_a, so
+    u2 + v2 = -2 re_a moment by moment.
     Returns arrays (exchange, re_a, pair, u2, v2) at unit coupling, tau > 0.
     """
-    # e^{id} gives cos d as its real part and e^{-id} as its conjugate
-    def separated(d, wd, t):
-        wr = two_point(r_bar, d, cutoff)
-        e = np.exp(1j * d)
-        return (wd * (t - d) * e.real * wr,
-                wd * wr.real * (np.exp(1j * (2.0 * t - d)) - e))
+    def separated(d, wd):
+        w = wd * two_point(r_bar, d, cutoff)
+        f = np.cos(d) * w
+        return f, d * f, np.sin(d) * w.real
 
-    def local(d, wd, t):
-        kernel = wd * (t - d) * two_point(0.0, d, cutoff)
-        e = np.exp(1j * d)
-        return (e.real * kernel.real, (e * kernel).real, (e.conj() * kernel).real)
+    def local(d, wd):
+        w = wd * two_point(0.0, d, cutoff)
+        even, odd = np.cos(d) * w.real, np.sin(d) * w.imag
+        return even, d * even, odd, d * odd
 
-    exchange, pair = _integrate(tau, r_bar, cutoff, n, separated)
-    re_a, u2, v2 = _integrate(tau, 0.0, cutoff, n, local)
-    return 0.5 * exchange, -0.5 * re_a, (-0.25 / 1j) * pair, 0.5 * u2, 0.5 * v2
+    f, df, sin_re = _integrate(tau, r_bar, cutoff, n, separated)
+    even, d_even, odd, d_odd = _integrate(tau, 0.0, cutoff, n, local)
+    even, odd = tau * even - d_even, tau * odd - d_odd
+    turn = np.exp(1j * tau)
+    pair = -0.5 * turn * (turn.imag * f.real - turn.real * sin_re)
+    return 0.5 * (tau * f - df), -0.5 * even, pair, 0.5 * (even - odd), 0.5 * (even + odd)
 
 
 def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:

@@ -220,24 +220,25 @@ def figures(out_dir: str, spec: SweepSpec) -> list[str]:
     fig1: the three correlation measures vs xi for the given couplings.
     fig4: the same measures on a denser coupling grid (surface data).
     fig5: both Bell parameters vs xi plus the classical threshold column.
+    One sweep over both coupling sets gives the rows of all three.
     """
-    columns = run_sweep(spec)
+    dense = np.linspace(min(spec.couplings), max(spec.couplings), 9).tolist()
+    union = sorted(set(spec.couplings) | set(dense))
+    swept = run_sweep(replace(spec, couplings=tuple(union)))
+
+    def rows(couplings):
+        blocks = [union.index(k) for k in sorted(couplings)]
+        return {name: v.reshape(len(union), -1)[blocks].ravel() for name, v in swept.items()}
+
+    columns = rows(spec.couplings)
+    columns["bell_classical"] = np.full(columns["xi"].size, BELL_CLASSICAL)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    path = os.path.join(out_dir, "fig1.csv")
-    write_csv(path, FIG1_COLUMNS, columns)
-    paths.append(path)
-
-    dense = np.linspace(min(spec.couplings), max(spec.couplings), 9)
-    dense_spec = replace(spec, couplings=tuple(float(k) for k in dense))
-    path = os.path.join(out_dir, "fig4.csv")
-    write_csv(path, FIG4_COLUMNS, run_sweep(dense_spec))
-    paths.append(path)
-
-    columns["bell_classical"] = np.full(columns["xi"].size, BELL_CLASSICAL)
-    path = os.path.join(out_dir, "fig5.csv")
-    write_csv(path, FIG5_COLUMNS, columns)
-    paths.append(path)
+    for name, header, data in (("fig1.csv", FIG1_COLUMNS, columns),
+                               ("fig4.csv", FIG4_COLUMNS, rows(dense)),
+                               ("fig5.csv", FIG5_COLUMNS, columns)):
+        paths.append(os.path.join(out_dir, name))
+        write_csv(paths[-1], header, data)
     return paths
 
 

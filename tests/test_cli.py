@@ -113,17 +113,22 @@ def test_sweep_csv_layout(tmp_path):
     assert float(fields[2]) == R_BAR
 
 
-def test_sweep_computes_each_xi_once(monkeypatch):
-    # whatever the grid size and the coupling count, the sweep evaluates the
-    # two-point function at exactly the nodes of its xi points taken one by one
+def test_sweep_evaluates_each_distinct_panel_once(monkeypatch):
+    # the sweep runs one quadrature pass whatever the coupling count, and the
+    # graded cuts 0, eps*4**k and pole +- eps*4**k are shared by every xi with
+    # the same panel count, so a long grid evaluates each distinct panel once:
+    # well under the nodes of its points taken one by one
     spec = small_spec(couplings=(0.06, 0.02, 0.04), steps=2100, cutoff=300.0)
     sizes = two_point_sizes(monkeypatch)
     columns = run_sweep(spec)
     swept = sum(sizes)
     sizes.clear()
+    run_sweep(replace(spec, couplings=(0.02,)))
+    assert swept == sum(sizes)
+    sizes.clear()
     for xi in spec.xi_grid():
         compute_amplitudes(spec.params, float(xi))
-    assert swept == sum(sizes)
+    assert swept < 0.4 * sum(sizes)
     assert list(zip(columns["K"].tolist(), columns["xi"].tolist())) == [
         (k, float(xi)) for k in (0.02, 0.04, 0.06) for xi in spec.xi_grid()
     ]
@@ -139,25 +144,34 @@ def test_sweep_memory_does_not_grow_with_grid(monkeypatch):
 
 
 def test_sweep_rows_match_point_route():
-    spec = small_spec(couplings=(0.04, 0.02), steps=9, cutoff=300.0)
-    assert {0.0, 1.0} <= set(spec.xi_grid().tolist())
-    rows = iter(sweep_rows(run_sweep(spec)))
-    for k in (0.02, 0.04):
-        p = replace(spec.params, coupling=k)
-        for xi in spec.xi_grid():
-            amps = compute_amplitudes(p, float(xi))
-            coeffs, rho = assemble(p, amps)
-            rep = report(rho, coeffs, amps)
-            expected = {
-                **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
-                "c": coeffs.c, "sqrtD": rep.sqrt_discord, "negativity": rep.negativity,
-                "conn_corr": rep.connected_corr, "bell_chsh": rep.bell_chsh,
-                "bell_opt": rep.bell_opt,
-            }
-            row = next(rows)
-            assert row["hierarchy_ok"] is rep.hierarchy_ok
-            for name in SWEEP_HEADER[:-1]:
-                assert row[name] == pytest.approx(expected[name], rel=1e-12, abs=0.0), name
+    # the whole grid, a high cutoff, and a near-cone grid whose neighbouring
+    # xi share their pole panels
+    specs = (
+        small_spec(couplings=(0.04, 0.02), steps=9, cutoff=300.0),
+        small_spec(couplings=(0.04, 0.02), steps=9, cutoff=10000.0),
+        replace(small_spec(couplings=(0.04, 0.02), steps=41, cutoff=300.0),
+                xi_min=0.999, xi_max=1.001),
+    )
+    assert {0.0, 1.0} <= set(specs[0].xi_grid().tolist())
+    for spec in specs:
+        rows = iter(sweep_rows(run_sweep(spec)))
+        for k in (0.02, 0.04):
+            p = replace(spec.params, coupling=k)
+            for xi in spec.xi_grid():
+                amps = compute_amplitudes(p, float(xi))
+                coeffs, rho = assemble(p, amps)
+                rep = report(rho, coeffs, amps)
+                expected = {
+                    **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
+                    "c": coeffs.c, "sqrtD": rep.sqrt_discord, "negativity": rep.negativity,
+                    "conn_corr": rep.connected_corr, "bell_chsh": rep.bell_chsh,
+                    "bell_opt": rep.bell_opt,
+                }
+                row = next(rows)
+                assert row["hierarchy_ok"] is rep.hierarchy_ok
+                for name in SWEEP_HEADER[:-1]:
+                    assert row[name] == pytest.approx(expected[name], rel=1e-12, abs=0.0), (
+                        name, spec.params.cutoff, xi)
 
 
 def test_sweep_matches_golden_csv():
@@ -331,6 +345,19 @@ def test_figures_outputs(tmp_path):
     fig4 = (tmp_path / "fig4.csv").read_text().strip().split("\n")
     assert fig4[0] == "xi,K,conn_corr,sqrtD,negativity"
     assert len(fig4) == 1 + 9 * 21
+
+
+def test_figures_runs_one_sweep(tmp_path, monkeypatch):
+    # fig1, fig4 and fig5 come from one quadrature pass over the union of the
+    # given couplings and the dense coupling grid
+    spec = small_spec(couplings=(0.02, 0.04, 0.06), steps=21)
+    sizes = two_point_sizes(monkeypatch)
+    figures(str(tmp_path), spec)
+    nodes = sum(sizes)
+    sizes.clear()
+    union = set(spec.couplings) | set(np.linspace(0.02, 0.06, 9).tolist())
+    run_sweep(replace(spec, couplings=tuple(sorted(union))))
+    assert nodes <= sum(sizes)
 
 
 def test_figures_cli_creates_out_dir(tmp_path):
