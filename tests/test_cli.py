@@ -176,7 +176,8 @@ def test_sweep_rows_match_point_route():
 
 def test_sweep_matches_golden_csv():
     # tests/data/sweep_xi41.csv is `fermicorr sweep --xi-steps 41` with the
-    # default parameters, written by the first release of the graded rule.
+    # default parameters, written while every xi still evaluated all of its
+    # own quadrature panels.
     # Entries below 1e-13 of their column's maximum (the exact zeros at
     # xi = 0, and re_L at xi = 2) are judged absolutely against that maximum.
     golden = Path(__file__).parent / "data" / "sweep_xi41.csv"
