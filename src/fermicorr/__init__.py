@@ -18,7 +18,6 @@ from .measures import (
     bell_opt,
     connected_correlation,
     connected_correlation_xstate,
-    entanglement_onset,
     geometric_discord,
     negativity,
     negativity_xstate,
@@ -62,7 +61,6 @@ __all__ = [
     "connected_correlation_xstate",
     "decompose",
     "discord_bruteforce",
-    "entanglement_onset",
     "geometric_discord",
     "maxcorr_bruteforce",
     "negativity",

@@ -18,8 +18,9 @@ node moments that do not depend on xi, the graded panels of the grid are
 shared by every xi with the same panel count, and each distinct panel is
 evaluated once, a fixed number of nodes at a time, so memory does not grow
 with the grid. Each amplitude is linear (or, for the two-photon weight,
-quadratic) in the coupling, so a sweep computes the coupling-free integrals
-once and rescales them for every coupling.
+quadratic) in the coupling, and the amplitudes carry the coupling they were
+scaled to, so a sweep computes the coupling-free integrals once, rescales
+them to an (xi, coupling) stack and assembles that stack in one call.
 """
 from __future__ import annotations
 
@@ -45,12 +46,7 @@ _BLOCK_NODES = 1 << 14
 
 class OutOfRegimeError(ValueError):
     """Second-order truncation broke down (vacuum-sector population <= 0, or
-    an assembled state that is not positive semidefinite). ``xi`` is the
-    time of the failing point."""
-
-    def __init__(self, message: str, xi: float = math.nan):
-        super().__init__(message)
-        self.xi = xi
+    an assembled state that is not positive semidefinite)."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PerturbativeAmplitudes:
-    """Second-order amplitudes at one dimensionless time, or arrays of them
-    over an xi grid.
+    """Second-order amplitudes at one dimensionless time and coupling, or
+    arrays of them over a stack of (xi, coupling) points.
 
     re_a            real part of the intra-qubit radiative correction
                     (norm loss; <= 0 for xi > 0)
@@ -88,6 +84,7 @@ class PerturbativeAmplitudes:
     pair_coherence  vacuum matrix element raising both qubits at once; its
                     conjugate fills the ee-gg coherence
     g2              two-photon sector weight (0 when disabled)
+    coupling        the coupling K the amplitudes are scaled to
     """
 
     xi: float
@@ -98,12 +95,13 @@ class PerturbativeAmplitudes:
     pair_coherence: complex
     g2: float
     two_photon_enabled: bool
+    coupling: float
 
     def scaled(self, factor):
         """The amplitudes at ``factor`` times this coupling: g2 scales with
-        its square, every other amplitude linearly. ``factor`` may be an
-        array that broadcasts against the fields."""
-        linear = ("re_a", "exchange", "u2", "v2", "pair_coherence")
+        its square, the coupling and every other amplitude linearly.
+        ``factor`` may be an array that broadcasts against the fields."""
+        linear = ("coupling", "re_a", "exchange", "u2", "v2", "pair_coherence")
         return replace(self, g2=factor * factor * self.g2,
                        **{name: factor * getattr(self, name) for name in linear})
 
@@ -127,7 +125,8 @@ CSV_AMPLITUDE_HEADER = (
     "u2", "v2", "re_L", "im_L", "g2", "c",
 )
 # The one map from amplitude fields to their CSV and state-JSON names; a
-# complex field is written as its real and imaginary parts.
+# complex field is written as its real and imaginary parts. The coupling has
+# no entry: the CSV writes it as K, the state JSON keeps it in its params.
 AMPLITUDE_NAMES = {
     "xi": "xi", "re_a": "re_A", "exchange": ("re_X", "im_X"), "u2": "u2", "v2": "v2",
     "pair_coherence": ("re_L", "im_L"), "g2": "g2", "two_photon_enabled": "two_photon_enabled",
@@ -259,8 +258,9 @@ def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float, n: int):
 
 
 def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
-    """All second-order amplitudes at the coupling of ``p``, for one xi or
-    an array of them (then every field is an array of the same shape).
+    """All second-order amplitudes at, and carrying, the coupling of ``p``,
+    for one xi or an array of them (then every amplitude is an array of the
+    same shape).
 
     With tau = xi * r_bar and w the two-point function, the amplitudes are
     double-time integrals over [0, tau]^2:
@@ -291,22 +291,22 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
     ex, re_a, pair, u2, v2 = unit
     g2 = u2 * v2 + np.abs(pair) ** 2 if p.include_two_photon else np.zeros(tau.shape)
     values = (unwrap_scalar(a.reshape(xi.shape)) for a in (xi, re_a, ex, u2, v2, pair, g2))
-    return PerturbativeAmplitudes(*values, p.include_two_photon).scaled(p.coupling)
+    amps = PerturbativeAmplitudes(*values, p.include_two_photon, coupling=1.0)
+    return amps.scaled(p.coupling)
 
 
-def assemble(
-    p: ModelParams, amps: PerturbativeAmplitudes
-) -> tuple[XStateCoefficients, np.ndarray]:
+def assemble(amps: PerturbativeAmplitudes) -> tuple[XStateCoefficients, np.ndarray]:
     """Assemble the X-patterned reduced density matrix from the amplitudes.
 
     Returns the unnormalized coefficients (with their sum c) and the
     c-normalized matrix: (4, 4) for scalar amplitudes, (..., 4, 4) for
-    arrays. Raises ValueError naming the first non-finite amplitude field.
-    Raises :class:`OutOfRegimeError` for the first point, in array order,
-    where the vacuum-sector population 1 + 2*re_a is not positive or where
-    the smaller eigenvalue of either 2x2 X-block of the normalized state is
-    below -POSITIVITY_ATOL; both signal a coupling too strong for the
-    second-order truncation at this time.
+    arrays, such as an (xi, coupling) stack. Raises ValueError naming the
+    first non-finite amplitude field. Raises :class:`OutOfRegimeError`
+    naming the xi and coupling of the first point, in array order, where the
+    vacuum-sector population 1 + 2*re_a is not positive or where the smaller
+    eigenvalue of either 2x2 X-block of the normalized state is below
+    -POSITIVITY_ATOL; both signal a coupling too strong for the second-order
+    truncation at this time.
     """
     for name in ("re_a", "exchange", "u2", "v2", "pair_coherence", "g2"):
         value = np.ravel(getattr(amps, name))
@@ -327,12 +327,12 @@ def assemble(
         )) / c
     failed = np.flatnonzero((rho22 <= 0.0) | (min_eig < -POSITIVITY_ATOL))
     if failed.size:  # name the first failing point in array order
-        xi, r22, eig = (np.broadcast_to(v, np.shape(c)).flat[failed[0]]
-                        for v in (amps.xi, rho22, min_eig))
-        where = f"at xi = {xi:g}, coupling = {p.coupling:g}: second-order truncation invalid"
+        xi, k, r22, eig = (np.broadcast_to(v, np.shape(c)).flat[failed[0]]
+                           for v in (amps.xi, amps.coupling, rho22, min_eig))
+        where = f"at xi = {xi:g}, coupling = {k:g}: second-order truncation invalid"
         if r22 <= 0.0:
-            raise OutOfRegimeError(f"rho22 = {r22:.6f} <= 0 {where}", xi)
-        raise OutOfRegimeError(f"state not positive: min eigenvalue = {eig:.3e} {where}", xi)
+            raise OutOfRegimeError(f"rho22 = {r22:.6f} <= 0 {where}")
+        raise OutOfRegimeError(f"state not positive: min eigenvalue = {eig:.3e} {where}")
     coeffs = XStateCoefficients(*(
         unwrap_scalar(v) for v in (rho11, rho22, rho33, rho44, rho14, rho23, c)
     ))

@@ -110,42 +110,28 @@ def run_sweep(spec: SweepSpec) -> dict:
     (coupling, xi) ascending; deterministic.
 
     The coupling-free quadrature runs once over the whole xi grid and is
-    rescaled for each coupling; the states of all couplings are validated
-    and measured as one stack. When points are out of regime, the error
-    names the first failing (xi, coupling) in xi order.
+    rescaled to an (xi, coupling) stack, which is assembled, validated and
+    measured in one call each. When points are out of regime, the error
+    names the first failing point in the stack's order: the smallest
+    failing xi, and the smallest failing coupling at that xi.
     """
-    xi = spec.xi_grid()
-    couplings = np.array(sorted(spec.couplings))
-    unit = compute_amplitudes(replace(spec.params, coupling=1.0), xi)
-    blocks, errors = [], []
-    for k in couplings:
-        try:
-            blocks.append(assemble(replace(spec.params, coupling=float(k)), unit.scaled(k)))
-        except OutOfRegimeError as exc:
-            errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda exc: exc.xi)
-    # each del drops a copy as soon as it is used: a long grid peaks lower
-    coeffs, rho = zip(*blocks)
-    del blocks
-    coeffs = XStateCoefficients(*map(np.stack, zip(*(vars(c).values() for c in coeffs))))
-    rho = np.stack(rho)
-    amps = unit.scaled(couplings[:, None])
+    unit = compute_amplitudes(replace(spec.params, coupling=1.0), spec.xi_grid()[:, None])
+    amps = unit.scaled(np.array(sorted(spec.couplings)))
+    coeffs, rho = assemble(amps)
     rep = report(rho, coeffs, amps)
-    del rho
-    columns = {**amplitude_fields(amps), "K": couplings[:, None], "r_bar": spec.params.r_bar,
+    columns = {**amplitude_fields(amps), "K": amps.coupling, "r_bar": spec.params.r_bar,
                "cutoff": spec.params.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
                "negativity": rep.negativity, "conn_corr": rep.connected_corr,
                "bell_chsh": rep.bell_chsh, "bell_opt": rep.bell_opt,
                "hierarchy_ok": rep.hierarchy_ok}
-    shape = (len(couplings), xi.size)
-    return {name: np.broadcast_to(columns[name], shape).ravel() for name in SWEEP_HEADER}
+    shape = np.shape(coeffs.c)
+    return {name: np.broadcast_to(columns[name], shape).T.ravel() for name in SWEEP_HEADER}
 
 
 def state_dump(params: ModelParams, xi: float) -> dict:
     """JSON document for one state: params, amplitudes, coefficients, matrix."""
     amps = compute_amplitudes(params, xi)
-    coeffs, rho = assemble(params, amps)
+    coeffs, rho = assemble(amps)
     return {
         "params": asdict(params),
         "amplitudes": amplitude_fields(amps),
@@ -160,14 +146,15 @@ def state_dump(params: ModelParams, xi: float) -> dict:
 def load_state_dump(doc: dict):
     """Rebuild (params, amplitudes, coefficients, rho) from a state dump."""
     a, co = doc["amplitudes"], doc["coefficients"]
-    amps = PerturbativeAmplitudes(**{
+    params = ModelParams(**doc["params"])
+    amps = PerturbativeAmplitudes(coupling=params.coupling, **{
         attr: complex(a[name[0]], a[name[1]]) if isinstance(name, tuple) else a[name]
         for attr, name in AMPLITUDE_NAMES.items()
     })
     coeffs = XStateCoefficients(**{
         name: complex(*value) if isinstance(value, list) else value for name, value in co.items()
     })
-    return ModelParams(**doc["params"]), amps, coeffs, state_from_json(doc["rho"])
+    return params, amps, coeffs, state_from_json(doc["rho"])
 
 
 def oracle_check(count: int, seed: int, grid: DirectionGrid) -> dict:
@@ -273,18 +260,23 @@ def _add_grid_args(sub):
     sub.add_argument("--xi-steps", type=int, default=DEFAULT_XI_STEPS)
 
 
-def _model_params(args, coupling: float) -> ModelParams:
+def _couplings(args) -> tuple:
+    return tuple(args.coupling) if args.coupling else DEFAULT_COUPLINGS
+
+
+def _model_params(args) -> ModelParams:
     return ModelParams(
         r_bar=args.r_bar,
-        coupling=coupling,
+        coupling=_couplings(args)[0],
         cutoff=args.cutoff,
         quad_points=args.quad_points,
         include_two_photon=args.two_photon,
     )
 
 
-def _couplings(args) -> tuple:
-    return tuple(args.coupling) if args.coupling else DEFAULT_COUPLINGS
+def _sweep_spec(args) -> SweepSpec:
+    return SweepSpec(xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
+                     couplings=_couplings(args), params=_model_params(args))
 
 
 def main(argv=None) -> int:
@@ -322,17 +314,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "sweep":
-            spec = SweepSpec(
-                xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
-                couplings=_couplings(args),
-                params=_model_params(args, _couplings(args)[0]),
-            )
-            write_csv(args.out, SWEEP_HEADER, run_sweep(spec))
+            write_csv(args.out, SWEEP_HEADER, run_sweep(_sweep_spec(args)))
             print(f"wrote {args.out}")
             return 0
         if args.command == "state":
-            params = _model_params(args, _couplings(args)[0])
-            doc = state_dump(params, args.xi)
+            doc = state_dump(_model_params(args), args.xi)
             text = json.dumps(doc, indent=2)
             if args.out:
                 with open(args.out, "w", newline="\n") as fh:
@@ -357,12 +343,7 @@ def main(argv=None) -> int:
                 return _fail("oracle tolerance breach", 3)
             return 0
         if args.command == "figures":
-            spec = SweepSpec(
-                xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
-                couplings=_couplings(args),
-                params=_model_params(args, _couplings(args)[0]),
-            )
-            for path in figures(args.out, spec):
+            for path in figures(args.out, _sweep_spec(args)):
                 print(f"wrote {path}")
             return 0
     except OutOfRegimeError as exc:

@@ -77,19 +77,10 @@ def sqrt_discord_xstate(amps: PerturbativeAmplitudes) -> float:
 
 def negativity_xstate(amps: PerturbativeAmplitudes) -> float:
     """Second-order closed form of the negativity:
-    max{0, sqrt((u2 - v2)^2 + 4|exchange|^2) - u2 - v2}."""
+    max{0, sqrt((u2 - v2)^2 + 4|exchange|^2) - u2 - v2}, positive exactly
+    where the exchange dominates the emission weights, |exchange|^2 > u2*v2."""
     root = np.hypot(amps.u2 - amps.v2, 2.0 * np.abs(amps.exchange))
     return unwrap_scalar(np.maximum(0.0, root - amps.u2 - amps.v2))
-
-
-def entanglement_onset(amps: PerturbativeAmplitudes) -> bool:
-    """True iff the exchange term dominates the emission weights,
-    |exchange|^2 > u2*v2, which is exactly where the negativity closed form
-    leaves zero."""
-    x2 = np.abs(amps.exchange) ** 2
-    prod = amps.u2 * amps.v2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return unwrap_scalar(np.where(prod == 0.0, x2 > 0.0, x2 / prod > 1.0))
 
 
 def connected_correlation_xstate(amps: PerturbativeAmplitudes) -> float:

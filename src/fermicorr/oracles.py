@@ -101,6 +101,31 @@ def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0):
+    """Maximize ``sign * objective`` over one measurement axis per batch.
+
+    ``objective`` maps k direction batches to an array with one axis per
+    batch. The coarse step evaluates it on ``coarse_batches``, and each
+    of ``grid.refine_rounds`` rounds on tangent meshes around the best axes
+    so far, with a window that starts at one grid cell and shrinks by
+    _REFINE_SHRINK per round. sign = -1 minimizes. Returns (value, axes):
+    the best value of ``objective`` itself and a list of its k axes.
+    """
+    def best_of(batches):
+        vals = sign * objective(*batches)
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return vals[idx], [batch[i] for batch, i in zip(batches, idx)]
+
+    best, axes = best_of(coarse_batches)
+    w = grid.initial_window()
+    for _ in range(grid.refine_rounds):
+        value, centers = best_of([_tangent_mesh(axis, w) for axis in axes])
+        if value > best:
+            best, axes = value, centers
+        w *= _REFINE_SHRINK
+    return sign * float(best), axes
+
+
 def _antipodal_half(dirs: np.ndarray) -> np.ndarray:
     """First half of a theta-major direction grid: the polar rows from the
     north pole down, plus half of the equator row when the row count is odd.
@@ -138,19 +163,8 @@ def discord_bruteforce(rho: np.ndarray, grid: DirectionGrid) -> float:
     a minimum, so the result brackets the closed form from above.
     """
     rho = validate_state(rho)
-    dirs = _antipodal_half(grid.directions())
-    vals = _measurement_residual(rho, dirs)
-    i = int(np.argmin(vals))
-    best, center = vals[i], dirs[i]
-    w = grid.initial_window()
-    for _ in range(grid.refine_rounds):
-        dirs = _tangent_mesh(center, w)
-        vals = _measurement_residual(rho, dirs)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, center = vals[i], dirs[i]
-        w *= _REFINE_SHRINK
-    return float(best)
+    coarse = [_antipodal_half(grid.directions())]
+    return _search(lambda dirs: _measurement_residual(rho, dirs), coarse, grid, -1.0)[0]
 
 
 def _pair_covariance(moments, dirs_a, dirs_b):
@@ -171,20 +185,9 @@ def maxcorr_bruteforce(
     """
     moments = _moments(validate_state(rho))
     dirs = grid.directions()
-    half = _antipodal_half(dirs)
-    cov = _pair_covariance(moments, half, dirs)
-    i, j = np.unravel_index(int(np.argmax(cov)), cov.shape)
-    best, ca, cb = cov[i, j], half[i], dirs[j]
-    w = grid.initial_window()
-    for _ in range(grid.refine_rounds):
-        mesh_a = _tangent_mesh(ca, w)
-        mesh_b = _tangent_mesh(cb, w)
-        cov = _pair_covariance(moments, mesh_a, mesh_b)
-        i, j = np.unravel_index(int(np.argmax(cov)), cov.shape)
-        if cov[i, j] > best:
-            best, ca, cb = cov[i, j], mesh_a[i], mesh_b[j]
-        w *= _REFINE_SHRINK
-    return float(best), ca, cb
+    value, (n, n_prime) = _search(lambda a, b: _pair_covariance(moments, a, b),
+                                  [_antipodal_half(dirs), dirs], grid)
+    return value, n, n_prime
 
 
 def negativity_eig(rho: np.ndarray) -> float:
@@ -224,19 +227,7 @@ def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     """
     corr = _moments(validate_state(rho))[0]
     dirs = _antipodal_half(grid.directions())
-    vals = _chsh_value(corr, dirs, dirs)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best, cb, cbp = vals[i, j], dirs[i], dirs[j]
-    w = grid.initial_window()
-    for _ in range(grid.refine_rounds):
-        mesh_b = _tangent_mesh(cb, w)
-        mesh_bp = _tangent_mesh(cbp, w)
-        vals = _chsh_value(corr, mesh_b, mesh_bp)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[i, j] > best:
-            best, cb, cbp = vals[i, j], mesh_b[i], mesh_bp[j]
-        w *= _REFINE_SHRINK
-    return float(best)
+    return _search(lambda b, bp: _chsh_value(corr, b, bp), [dirs, dirs], grid)[0]
 
 
 @lru_cache(maxsize=8)

@@ -242,7 +242,7 @@ def _longitudinal_gap(coupling):
     second-order form -4(|X|^2 + |L|^2)/c^2."""
     p = ModelParams(r_bar=DEFAULT_R_BAR, coupling=coupling)
     amps = compute_amplitudes(p, 1.0)
-    coeffs, rho = assemble(p, amps)
+    coeffs, rho = assemble(amps)
     b = decompose(rho)
     w_zz = b.t[2, 2] - b.x[2] * b.y[2]
     lead = -4.0 * (abs(amps.exchange) ** 2 + abs(amps.pair_coherence) ** 2) / coeffs.c**2
@@ -274,7 +274,7 @@ def test_criterion_10_measurement_direction_switch():
     grid = DirectionGrid()
     nz = {}
     for xi in couplings:
-        _, rho = assemble(p, compute_amplitudes(p, xi))
+        _, rho = assemble(compute_amplitudes(p, xi))
         _, n, nprime = maxcorr_bruteforce(rho, grid)
         nz[xi] = (abs(n[2]), abs(nprime[2]))
     equatorial = all(max(v) <= 0.1 for v in nz.values())

@@ -206,6 +206,10 @@ def test_linear_and_quadratic_coupling_scaling():
         assert hi / lo == pytest.approx(2.0, rel=0.05)
     assert abs(a2.exchange) ** 2 / abs(a1.exchange) ** 2 == pytest.approx(4.0, rel=0.05)
     assert a2.g2 / a1.g2 == pytest.approx(4.0, rel=0.05)
+    # the amplitudes carry their coupling, and rescaling moves it along
+    assert (a1.coupling, a2.coupling) == (k, 2 * k)
+    assert a1.scaled(3.0).coupling == 3.0 * k
+    assert np.array_equal(a1.scaled(np.array([1.0, 2.0])).coupling, [k, 2 * k])
 
 
 def test_amplitude_continuity():
@@ -234,15 +238,14 @@ def test_amplitude_continuity():
 def _manual_amps(**kw):
     base = dict(
         xi=1.0, re_a=0.0, exchange=0.0j, u2=0.0, v2=0.0,
-        pair_coherence=0.0j, g2=0.0, two_photon_enabled=True,
+        pair_coherence=0.0j, g2=0.0, two_photon_enabled=True, coupling=0.04,
     )
     base.update(kw)
     return PerturbativeAmplitudes(**base)
 
 
 def test_assemble_initial_state():
-    p = params()
-    coeffs, rho = assemble(p, _manual_amps(xi=0.0))
+    coeffs, rho = assemble(_manual_amps(xi=0.0))
     assert coeffs.c == 1.0
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0
@@ -250,10 +253,9 @@ def test_assemble_initial_state():
 
 
 def test_assemble_arithmetic():
-    p = params()
     # g2 = u2 v2 + |L|^2 keeps the exchange block positive
     amps = _manual_amps(u2=0.01, v2=0.004, re_a=-0.007, exchange=0.01j, g2=4e-5)
-    coeffs, rho = assemble(p, amps)
+    coeffs, rho = assemble(amps)
     assert coeffs.c == pytest.approx(1.00014, abs=1e-15)
     assert coeffs.rho22 == pytest.approx(0.986)
     assert rho[1, 1].real == pytest.approx(0.986 / 1.00014)
@@ -268,7 +270,7 @@ def test_assemble_arithmetic():
 ])
 def test_assemble_rejects_non_finite_amplitudes(field, value):
     with pytest.raises(ValueError, match=f"amplitude {field} must be finite") as info:
-        assemble(params(), _manual_amps(**{field: value}))
+        assemble(_manual_amps(**{field: value}))
     assert not isinstance(info.value, OutOfRegimeError)
 
 
@@ -276,24 +278,43 @@ def test_assemble_out_of_regime():
     p = params(coupling=0.2)
     amps = compute_amplitudes(p, 2.0)
     with pytest.raises(OutOfRegimeError, match="xi = 2"):
-        assemble(p, amps)
+        assemble(amps)
     # 1 + 2 re_A > 0 here, but the exchange block is no longer positive
     p = params(coupling=0.06, cutoff=1000.0)
     amps = compute_amplitudes(p, 2.0)
     assert 1.0 + 2.0 * amps.re_a > 0.0
     with pytest.raises(OutOfRegimeError, match=r"min eigenvalue = -1\.1\d+e-02"):
-        assemble(p, amps)
+        assemble(amps)
+    # an (xi, coupling) stack names its first failing point in array order:
+    # the smallest failing xi, then the smallest failing coupling there
+    unit = compute_amplitudes(params(coupling=1.0), np.array([[1.0], [2.0]]))
+    with pytest.raises(OutOfRegimeError, match=r"at xi = 1, coupling = 0\.2:"):
+        assemble(unit.scaled(np.array([0.02, 0.2, 0.3])))
 
 
 def test_assembled_states_pass_invariants():
     p = params(coupling=0.06)
     for xi in np.linspace(0.0, 2.0, 41):
         amps = compute_amplitudes(p, xi)
-        coeffs, rho = assemble(p, amps)
+        coeffs, rho = assemble(amps)
         validate_state(rho)
         assert coeffs.c == coeffs.rho11 + coeffs.rho22 + coeffs.rho33 + coeffs.rho44
         assert abs(coeffs.rho14) ** 2 <= coeffs.rho11 * coeffs.rho44 * (1.0 + 1e-6)
         assert abs(coeffs.rho23) ** 2 <= coeffs.rho22 * coeffs.rho33 * (1.0 + 1e-6)
+
+
+def test_assemble_coupling_stack_matches_per_coupling_calls():
+    # one call on an (xi, coupling) stack gives, bit for bit, the states of
+    # one call per coupling
+    unit = compute_amplitudes(params(coupling=1.0), np.linspace(0.0, 2.0, 41)[:, None])
+    couplings = np.array([0.02, 0.04, 0.06])
+    coeffs, rho = assemble(unit.scaled(couplings))
+    assert rho.shape == (41, 3, 4, 4)
+    for j, k in enumerate(couplings):
+        one_coeffs, one_rho = assemble(unit.scaled(k))
+        assert np.array_equal(rho[:, j], one_rho[:, 0])
+        for name, value in vars(one_coeffs).items():
+            assert np.array_equal(getattr(coeffs, name)[:, j], value[:, 0]), name
 
 
 def test_model_params_validation():

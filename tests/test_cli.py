@@ -14,10 +14,10 @@ from fermicorr import (
     amplitudes,
     assemble,
     bell_chsh,
+    cli,
     compute_amplitudes,
     connected_correlation_xstate,
     negativity_xstate,
-    entanglement_onset,
     report,
     sqrt_discord_xstate,
 )
@@ -134,6 +134,18 @@ def test_sweep_evaluates_each_distinct_panel_once(monkeypatch):
     ]
 
 
+def test_sweep_assembles_and_reports_once(monkeypatch):
+    # the couplings are one axis of the stack, not a loop of calls
+    calls = []
+    for name in ("assemble", "report"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    run_sweep(small_spec(couplings=(0.06, 0.02, 0.04)))
+    assert calls == ["assemble", "report"]
+
+
 def test_sweep_memory_does_not_grow_with_grid(monkeypatch):
     sizes = two_point_sizes(monkeypatch)
     run_sweep(small_spec(couplings=DEFAULT_COUPLINGS, steps=DEFAULT_XI_STEPS, cutoff=300.0))
@@ -159,7 +171,7 @@ def test_sweep_rows_match_point_route():
             p = replace(spec.params, coupling=k)
             for xi in spec.xi_grid():
                 amps = compute_amplitudes(p, float(xi))
-                coeffs, rho = assemble(p, amps)
+                coeffs, rho = assemble(amps)
                 rep = report(rho, coeffs, amps)
                 expected = {
                     **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
@@ -229,6 +241,20 @@ def test_sweep_cli_out_of_regime(tmp_path):
         "--xi-min", "1.9", "--xi-max", "2", "--xi-steps", "3", "--out", str(out),
     ])
     assert rc == 2
+    assert not out.exists()
+
+
+def test_sweep_cli_without_two_photon_weight(tmp_path, capsys):
+    # without g2 the exchange block has determinant 2 re_A |X|^2 < 0; near
+    # xi = 0 its negative eigenvalue stays inside the positivity tolerance,
+    # later it does not
+    out = tmp_path / "sweep.csv"
+    short = ["--coupling", "0.02", "--xi-max", "0.05", "--xi-steps", "11"]
+    assert main(["sweep", "--no-two-photon", *short, "--out", str(out)]) == 0
+    assert out.exists()
+    out.unlink()
+    assert main(["sweep", "--no-two-photon", "--coupling", "0.02", "--out", str(out)]) == 2
+    assert "state not positive" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -374,7 +400,8 @@ def test_negativity_onset_matches_condition_on_grid():
     rows = sweep_rows(run_sweep(small_spec(couplings=(0.05,), steps=41)))
     p = ModelParams(r_bar=R_BAR, coupling=0.05, cutoff=50.0)
     onset_neg = [r["xi"] for r in rows if r["negativity"] > 0.0]
-    onset_cond = [r["xi"] for r in rows if entanglement_onset(compute_amplitudes(p, r["xi"]))]
+    point = [compute_amplitudes(p, r["xi"]) for r in rows]
+    onset_cond = [a.xi for a in point if abs(a.exchange) ** 2 > a.u2 * a.v2]
     assert bool(onset_neg) == bool(onset_cond)
     if onset_neg:
         assert abs(onset_neg[0] - onset_cond[0]) <= 0.05 + 1e-12

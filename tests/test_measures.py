@@ -17,7 +17,6 @@ from fermicorr import (
     connected_correlation,
     connected_correlation_xstate,
     decompose,
-    entanglement_onset,
     geometric_discord,
     negativity,
     negativity_xstate,
@@ -43,7 +42,7 @@ def product_state(seed=0):
 def make_amps(re_a=0.0, exchange=0.0j, u2=0.0, v2=0.0, pair=0.0j, g2=0.0):
     return PerturbativeAmplitudes(
         xi=1.0, re_a=re_a, exchange=exchange, u2=u2, v2=v2,
-        pair_coherence=pair, g2=g2, two_photon_enabled=True,
+        pair_coherence=pair, g2=g2, two_photon_enabled=True, coupling=0.04,
     )
 
 
@@ -121,22 +120,15 @@ def test_negativity_xstate_examples():
     assert negativity_xstate(amps) == pytest.approx(math.sqrt(0.0016) - 0.02)
 
 
-def test_entanglement_onset_examples():
-    amps = make_amps(exchange=math.sqrt(0.5 * 0.01 * 0.02) + 0.0j, u2=0.01, v2=0.02)
-    assert entanglement_onset(amps) is False
-    amps = make_amps(exchange=math.sqrt(2.0 * 0.01 * 0.02) + 0.0j, u2=0.01, v2=0.02)
-    assert entanglement_onset(amps) is True
-    assert entanglement_onset(make_amps()) is False
-    assert entanglement_onset(make_amps(exchange=1e-8j)) is True
-
-
 def test_entanglement_onset_agrees_with_negativity():
+    # the closed form leaves zero exactly where exchange dominates the
+    # emission weights, |X|^2 > u2 v2
     rng = np.random.default_rng(11)
     for _ in range(10_000):
         u2, v2, x = rng.uniform(0.0, 0.1, size=3)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         amps = make_amps(exchange=x * phase, u2=u2, v2=v2)
-        assert entanglement_onset(amps) == (negativity_xstate(amps) > 0.0)
+        assert (abs(amps.exchange) ** 2 > u2 * v2) == (negativity_xstate(amps) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +207,12 @@ def test_closed_forms_take_arrays():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     xis = np.linspace(0.0, 2.0, 9)
     stack = compute_amplitudes(p, xis)
-    coeffs, rho = assemble(p, stack)
+    coeffs, rho = assemble(stack)
     rep = report(rho, coeffs, stack)
     assert rho.shape == (9, 4, 4)
     for i, xi in enumerate(xis):
         amps = compute_amplitudes(p, float(xi))
-        co, one_rho = assemble(p, amps)
+        co, one_rho = assemble(amps)
         for fn, one, many in (
             (sqrt_discord_xstate, amps, stack),
             (negativity_xstate, amps, stack),
@@ -231,15 +223,15 @@ def test_closed_forms_take_arrays():
             value = fn(one)
             assert type(value) is float
             assert fn(many)[i] == pytest.approx(value, rel=1e-12, abs=0.0)
-        onset = entanglement_onset(amps)
-        assert type(onset) is bool
-        assert entanglement_onset(stack)[i] == onset
+        # the negativity turns on exactly where |X|^2 > u2 v2
+        onset = abs(amps.exchange) ** 2 > amps.u2 * amps.v2
+        assert (negativity_xstate(stack)[i] > 0.0) == onset
         assert rep.hierarchy_ok[i] == report(one_rho, co, amps).hierarchy_ok
 
 def test_report_initial_point():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     amps = compute_amplitudes(p, 0.0)
-    coeffs, rho = assemble(p, amps)
+    coeffs, rho = assemble(amps)
     rep = report(rho, coeffs, amps)
     assert rep.sqrt_discord == 0.0
     assert rep.negativity == 0.0
@@ -302,7 +294,7 @@ def test_measure_ranges():
 def _closed_vs_generic(coupling, xi):
     p = ModelParams(r_bar=R_BAR, coupling=coupling)
     amps = compute_amplitudes(p, xi)
-    _, rho = assemble(p, amps)
+    _, rho = assemble(amps)
     b = decompose(rho)
     w = b.t - np.outer(b.x, b.y)
     equatorial = 2.0 * (abs(amps.exchange) + abs(amps.pair_coherence))
