@@ -120,31 +120,6 @@ class XStateCoefficients:
     c: float
 
 
-CSV_AMPLITUDE_HEADER = (
-    "xi", "K", "r_bar", "cutoff", "re_A", "re_X", "im_X",
-    "u2", "v2", "re_L", "im_L", "g2", "c",
-)
-# The one map from amplitude fields to their CSV and state-JSON names; a
-# complex field is written as its real and imaginary parts. The coupling has
-# no entry: the CSV writes it as K, the state JSON keeps it in its params.
-AMPLITUDE_NAMES = {
-    "xi": "xi", "re_a": "re_A", "exchange": ("re_X", "im_X"), "u2": "u2", "v2": "v2",
-    "pair_coherence": ("re_L", "im_L"), "g2": "g2", "two_photon_enabled": "two_photon_enabled",
-}
-
-
-def amplitude_fields(amps: PerturbativeAmplitudes) -> dict:
-    """Amplitude values keyed by their output names, in output order."""
-    out = {}
-    for attr, name in AMPLITUDE_NAMES.items():
-        value = getattr(amps, attr)
-        if isinstance(name, tuple):
-            out[name[0]], out[name[1]] = value.real, value.imag
-        else:
-            out[name] = value
-    return out
-
-
 def two_point(dx, dt, cutoff: float):
     """Regularized vacuum two-point function of the line field.
 

@@ -16,15 +16,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .amplitudes import (
-    AMPLITUDE_NAMES,
-    CSV_AMPLITUDE_HEADER,
     DEFAULT_CUTOFF,
     DEFAULT_QUAD_POINTS,
     ModelParams,
     OutOfRegimeError,
     PerturbativeAmplitudes,
     XStateCoefficients,
-    amplitude_fields,
     assemble,
     compute_amplitudes,
 )
@@ -43,7 +40,7 @@ from .oracles import (
     maxcorr_bruteforce,
     negativity_eig,
 )
-from .states import random_state, state_from_json, state_to_json
+from .states import random_state, state_to_json
 
 DEFAULT_R_BAR = math.pi / 4.0
 DEFAULT_COUPLINGS = (0.02, 0.04, 0.06)
@@ -51,9 +48,17 @@ DEFAULT_XI_MIN = 0.0
 DEFAULT_XI_MAX = 2.0
 DEFAULT_XI_STEPS = 401
 
-SWEEP_HEADER = CSV_AMPLITUDE_HEADER + (
+SWEEP_HEADER = (
+    "xi", "K", "r_bar", "cutoff", "re_A", "re_X", "im_X", "u2", "v2", "re_L", "im_L", "g2", "c",
     "sqrtD", "negativity", "conn_corr", "bell_chsh", "bell_opt", "hierarchy_ok",
 )
+# The one map from amplitude fields to their CSV and state-JSON names; a
+# complex field is written as its real and imaginary parts. The coupling has
+# no entry: the CSV writes it as K, the state JSON keeps it in its params.
+AMPLITUDE_NAMES = {
+    "xi": "xi", "re_a": "re_A", "exchange": ("re_X", "im_X"), "u2": "u2", "v2": "v2",
+    "pair_coherence": ("re_L", "im_L"), "g2": "g2", "two_photon_enabled": "two_photon_enabled",
+}
 
 # Rows formatted per write, so the text of a long sweep is never all in memory.
 _CSV_BLOCK_ROWS = 4096
@@ -77,16 +82,16 @@ class SweepSpec:
     params: ModelParams
 
     def __post_init__(self):
-        if not (0.0 <= self.xi_min < self.xi_max):
+        if not (0.0 <= self.xi_min < self.xi_max < math.inf):
             raise ValueError(
-                f"need 0 <= xi_min < xi_max, got [{self.xi_min}, {self.xi_max}]"
+                f"need 0 <= xi_min < xi_max < inf, got [{self.xi_min}, {self.xi_max}]"
             )
         if self.xi_steps < 2:
             raise ValueError(f"xi_steps must be >= 2, got {self.xi_steps}")
         if not self.couplings:
             raise ValueError("couplings must be non-empty")
-        if any(k < 0 for k in self.couplings):
-            raise ValueError(f"couplings must all be >= 0, got {self.couplings}")
+        if not all(0.0 <= k < math.inf for k in self.couplings):
+            raise ValueError(f"couplings must all be finite and >= 0, got {self.couplings}")
 
     def xi_grid(self) -> np.ndarray:
         return np.linspace(self.xi_min, self.xi_max, self.xi_steps)
@@ -110,15 +115,16 @@ def run_sweep(spec: SweepSpec) -> dict:
     (coupling, xi) ascending; deterministic.
 
     The coupling-free quadrature runs once over the whole xi grid and is
-    rescaled to an (xi, coupling) stack, which is assembled, validated and
-    measured in one call each. When points are out of regime, the error
-    names the first failing point in the stack's order: the smallest
-    failing xi, and the smallest failing coupling at that xi.
+    rescaled to an (xi, coupling) stack, which is assembled and measured in
+    one call each; ``assemble``'s regime check is the stack's positivity
+    check. When points are out of regime, the error names the first failing
+    point in the stack's order: the smallest failing xi, and the smallest
+    failing coupling at that xi.
     """
     unit = compute_amplitudes(replace(spec.params, coupling=1.0), spec.xi_grid()[:, None])
     amps = unit.scaled(np.array(sorted(spec.couplings)))
-    coeffs, rho = assemble(amps)
-    rep = report(rho, coeffs, amps)
+    coeffs, _ = assemble(amps)
+    rep = report(coeffs, amps)
     columns = {**amplitude_fields(amps), "K": amps.coupling, "r_bar": spec.params.r_bar,
                "cutoff": spec.params.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
                "negativity": rep.negativity, "conn_corr": rep.connected_corr,
@@ -126,6 +132,18 @@ def run_sweep(spec: SweepSpec) -> dict:
                "hierarchy_ok": rep.hierarchy_ok}
     shape = np.shape(coeffs.c)
     return {name: np.broadcast_to(columns[name], shape).T.ravel() for name in SWEEP_HEADER}
+
+
+def amplitude_fields(amps: PerturbativeAmplitudes) -> dict:
+    """Amplitude values keyed by their output names, in output order."""
+    out = {}
+    for attr, name in AMPLITUDE_NAMES.items():
+        value = getattr(amps, attr)
+        if isinstance(name, tuple):
+            out[name[0]], out[name[1]] = value.real, value.imag
+        else:
+            out[name] = value
+    return out
 
 
 def state_dump(params: ModelParams, xi: float) -> dict:
@@ -141,20 +159,6 @@ def state_dump(params: ModelParams, xi: float) -> dict:
         },
         "rho": state_to_json(rho),
     }
-
-
-def load_state_dump(doc: dict):
-    """Rebuild (params, amplitudes, coefficients, rho) from a state dump."""
-    a, co = doc["amplitudes"], doc["coefficients"]
-    params = ModelParams(**doc["params"])
-    amps = PerturbativeAmplitudes(coupling=params.coupling, **{
-        attr: complex(a[name[0]], a[name[1]]) if isinstance(name, tuple) else a[name]
-        for attr, name in AMPLITUDE_NAMES.items()
-    })
-    coeffs = XStateCoefficients(**{
-        name: complex(*value) if isinstance(value, list) else value for name, value in co.items()
-    })
-    return params, amps, coeffs, state_from_json(doc["rho"])
 
 
 def oracle_check(count: int, seed: int, grid: DirectionGrid) -> dict:
@@ -236,6 +240,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_fail(f"error: {message}", 1))
 
 
+class _Once(argparse.Action):
+    # argparse seeds the namespace with the default object itself, so any
+    # value already parsed is a different object
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
@@ -244,8 +257,6 @@ def _fail(message: str, code: int) -> int:
 def _add_model_args(sub):
     sub.add_argument("--r-bar", type=float, default=DEFAULT_R_BAR,
                      help="qubit separation in units of v/Omega (default: pi/4)")
-    sub.add_argument("--coupling", type=float, action="append", default=None,
-                     help="dimensionless coupling K (repeatable; default: 0.02 0.04 0.06)")
     sub.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
                      help="UV cutoff omega_c/Omega (default: %(default)s)")
     sub.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
@@ -255,19 +266,17 @@ def _add_model_args(sub):
 
 
 def _add_grid_args(sub):
+    sub.add_argument("--coupling", type=float, action="append", default=None,
+                     help="dimensionless coupling K (repeatable; default: 0.02 0.04 0.06)")
     sub.add_argument("--xi-min", type=float, default=DEFAULT_XI_MIN)
     sub.add_argument("--xi-max", type=float, default=DEFAULT_XI_MAX)
     sub.add_argument("--xi-steps", type=int, default=DEFAULT_XI_STEPS)
 
 
-def _couplings(args) -> tuple:
-    return tuple(args.coupling) if args.coupling else DEFAULT_COUPLINGS
-
-
-def _model_params(args) -> ModelParams:
+def _model_params(args, coupling: float) -> ModelParams:
     return ModelParams(
         r_bar=args.r_bar,
-        coupling=_couplings(args)[0],
+        coupling=coupling,
         cutoff=args.cutoff,
         quad_points=args.quad_points,
         include_two_photon=args.two_photon,
@@ -275,8 +284,9 @@ def _model_params(args) -> ModelParams:
 
 
 def _sweep_spec(args) -> SweepSpec:
+    couplings = tuple(args.coupling or DEFAULT_COUPLINGS)
     return SweepSpec(xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
-                     couplings=_couplings(args), params=_model_params(args))
+                     couplings=couplings, params=_model_params(args, couplings[0]))
 
 
 def main(argv=None) -> int:
@@ -291,6 +301,8 @@ def main(argv=None) -> int:
 
     p_state = sub.add_parser("state", help="dump one assembled state as JSON")
     _add_model_args(p_state)
+    p_state.add_argument("--coupling", type=float, action=_Once, default=DEFAULT_COUPLINGS[0],
+                         help="dimensionless coupling K (default: %(default)s)")
     p_state.add_argument("--xi", type=float, default=1.0, help="dimensionless time")
     p_state.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -318,7 +330,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.command == "state":
-            doc = state_dump(_model_params(args), args.xi)
+            doc = state_dump(_model_params(args, args.coupling), args.xi)
             text = json.dumps(doc, indent=2)
             if args.out:
                 with open(args.out, "w", newline="\n") as fh:

@@ -35,28 +35,18 @@ class CorrelationReport:
     hierarchy_ok: bool
 
 
-def geometric_discord(rho: np.ndarray, party: str = "A") -> float:
-    """Normalized geometric discord under projective measurement of one qubit.
-
-    In Bloch form D = 2 Tr S - 2 lambda_max(S) with S = (x x^T + T T^T)/4
-    for measurements on the first qubit (the default); the measured party is
-    switchable because the quantity is asymmetric.
-    """
-    b = decompose(validate_state(rho))
-    if party == "A":
-        s = 0.25 * (np.outer(b.x, b.x) + b.t @ b.t.T)
-    elif party == "B":
-        s = 0.25 * (np.outer(b.y, b.y) + b.t.T @ b.t)
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    ev = np.linalg.eigvalsh(s)
+def geometric_discord(rho: np.ndarray) -> float:
+    """Normalized geometric discord under projective measurement of the
+    first qubit: D = 2 Tr S - 2 lambda_max(S) with S = (x x^T + T T^T)/4."""
+    b = decompose(rho)
+    ev = np.linalg.eigvalsh(0.25 * (np.outer(b.x, b.x) + b.t @ b.t.T))
     return max(0.0, float(2.0 * np.sum(ev) - 2.0 * ev[-1]))
 
 
 def negativity(rho: np.ndarray) -> float:
     """Trace-norm negativity ||rho^T_A||_1 - 1; 0 for separable states, 1 for
     maximally entangled ones. Computed from singular values."""
-    pt = partial_transpose(validate_state(rho), "A")
+    pt = partial_transpose(validate_state(rho))
     sv = np.linalg.svd(pt, compute_uv=False)
     return max(0.0, float(np.sum(sv) - 1.0))
 
@@ -64,7 +54,7 @@ def negativity(rho: np.ndarray) -> float:
 def connected_correlation(rho: np.ndarray) -> float:
     """Maximum covariance of local spin projections: the largest singular
     value of W = T - x y^T."""
-    b = decompose(validate_state(rho))
+    b = decompose(rho)
     w = b.t - np.outer(b.x, b.y)
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
@@ -126,16 +116,14 @@ def bell_opt(coeffs: XStateCoefficients) -> float:
     return unwrap_scalar(2.0 * np.sqrt(u1 + np.maximum(u2, u3)))
 
 
-def report(
-    rho: np.ndarray, coeffs: XStateCoefficients, amps: PerturbativeAmplitudes
-) -> CorrelationReport:
+def report(coeffs: XStateCoefficients, amps: PerturbativeAmplitudes) -> CorrelationReport:
     """Aggregate all quantifiers of one sweep point, or of a stack of them
-    (then ``rho`` is (..., 4, 4) and every field an array).
+    (then every field is an array), from the X-state closed forms.
 
-    The density matrices are validated against the state invariants in one
-    call; the correlation values come from the X-state closed forms.
+    The inputs are :func:`~fermicorr.amplitudes.assemble`'s coefficients and
+    the amplitudes it assembled; ``assemble`` has already rejected every
+    point whose state is not positive semidefinite.
     """
-    validate_state(rho)
     sd = sqrt_discord_xstate(amps)
     n = negativity_xstate(amps)
     c = connected_correlation_xstate(amps)

@@ -193,7 +193,7 @@ def maxcorr_bruteforce(
 def negativity_eig(rho: np.ndarray) -> float:
     """Negativity as twice the absolute sum of the negative eigenvalues of
     the partial transpose (eigendecomposition route)."""
-    pt = partial_transpose(validate_state(rho), "A")
+    pt = partial_transpose(validate_state(rho))
     ev = np.linalg.eigvalsh(pt)
     return float(2.0 * np.sum(np.abs(ev[ev < 0.0])))
 

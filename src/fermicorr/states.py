@@ -33,14 +33,12 @@ class StateValidationError(ValueError):
     """
 
 
-def validate_state(rho: np.ndarray, check_positivity: bool = True) -> np.ndarray:
+def validate_state(rho: np.ndarray) -> np.ndarray:
     """Check the density-matrix invariants of ``rho`` and return it as complex.
 
-    ``rho`` is one (4, 4) matrix or a (..., 4, 4) stack of them; each
-    invariant is checked over the whole stack at once and reported by its
-    worst value. Hermiticity and unit trace are always required; the
-    positive semidefiniteness check can be switched off for intermediate
-    (non-normalized) matrices.
+    ``rho`` is one (4, 4) matrix or a (..., 4, 4) stack of them; hermiticity,
+    unit trace and positive semidefiniteness are each checked over the whole
+    stack at once and reported by their worst value.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -53,10 +51,9 @@ def validate_state(rho: np.ndarray, check_positivity: bool = True) -> np.ndarray
     tr = abs(rho.trace(0, -2, -1) - 1.0).max()
     if tr > TRACE_ATOL:
         raise StateValidationError(f"trace: |Tr(rho) - 1| = {tr:.3e}")
-    if check_positivity:
-        lo = np.linalg.eigvalsh(rho).min()
-        if lo < -POSITIVITY_ATOL:
-            raise StateValidationError(f"positivity: min eigenvalue = {lo:.3e}")
+    lo = np.linalg.eigvalsh(rho).min()
+    if lo < -POSITIVITY_ATOL:
+        raise StateValidationError(f"positivity: min eigenvalue = {lo:.3e}")
     return rho
 
 
@@ -81,10 +78,9 @@ def decompose(rho: np.ndarray) -> BlochDecomposition:
     x_i = Tr[rho (sigma_i x I)], y_j = Tr[rho (I x sigma_j)],
     t_ij = Tr[rho (sigma_i x sigma_j)].
 
-    Rejects non-Hermitian or non-unit-trace input (positivity is not
-    required here, so partial transposes can be decomposed too).
+    Rejects input that is not a density matrix (see :func:`validate_state`).
     """
-    rho = validate_state(rho, check_positivity=False)
+    rho = validate_state(rho)
     r4 = rho.reshape(2, 2, 2, 2)  # [row_a, row_b, col_a, col_b]
     x = np.array([np.einsum("ikjk,ji->", r4, s).real for s in PAULI])
     y = np.array([np.einsum("ikil,lk->", r4, s).real for s in PAULI])
@@ -94,18 +90,13 @@ def decompose(rho: np.ndarray) -> BlochDecomposition:
     return BlochDecomposition(x=x, y=y, t=t)
 
 
-def partial_transpose(rho: np.ndarray, party: str = "A") -> np.ndarray:
-    """Transpose the indices of one qubit; trace and hermiticity survive,
-    eigenvalues may turn negative for entangled states."""
-    rho = np.asarray(rho, dtype=complex)
-    r4 = rho.reshape(2, 2, 2, 2)
-    if party == "A":
-        out = r4.transpose(2, 1, 0, 3)
-    elif party == "B":
-        out = r4.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return out.reshape(4, 4).copy()
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the indices of the first qubit; trace and hermiticity
+    survive, eigenvalues may turn negative for entangled states. The second
+    qubit's partial transpose is the full transpose of this one, so it has
+    the same spectrum."""
+    r4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return r4.transpose(2, 1, 0, 3).reshape(4, 4)  # reshape copies the transposed view
 
 
 def random_state(seed: int, kind: str = "mixed") -> np.ndarray:

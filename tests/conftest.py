@@ -1,13 +1,14 @@
 """Shared fixtures and helpers: the default sweep (computed once per
-session), params, and state helpers used only by the tests."""
+session), params, and state and state-dump helpers used only by the tests."""
 import time
 
 import numpy as np
 import pytest
 
-from fermicorr import ModelParams
-from fermicorr.states import IDENTITY_2, PAULI
+from fermicorr import ModelParams, PerturbativeAmplitudes, XStateCoefficients
+from fermicorr.states import IDENTITY_2, PAULI, state_from_json
 from fermicorr.cli import (
+    AMPLITUDE_NAMES,
     DEFAULT_COUPLINGS,
     DEFAULT_R_BAR,
     DEFAULT_XI_MAX,
@@ -76,3 +77,17 @@ def purity(rho):
     """Tr rho^2."""
     rho = np.asarray(rho, dtype=complex)
     return float(np.trace(rho @ rho).real)
+
+
+def load_state_dump(doc: dict):
+    """Rebuild (params, amplitudes, coefficients, rho) from a state dump."""
+    a, co = doc["amplitudes"], doc["coefficients"]
+    params = ModelParams(**doc["params"])
+    amps = PerturbativeAmplitudes(coupling=params.coupling, **{
+        attr: complex(a[name[0]], a[name[1]]) if isinstance(name, tuple) else a[name]
+        for attr, name in AMPLITUDE_NAMES.items()
+    })
+    coeffs = XStateCoefficients(**{
+        name: complex(*value) if isinstance(value, list) else value for name, value in co.items()
+    })
+    return params, amps, coeffs, state_from_json(doc["rho"])

@@ -16,7 +16,7 @@ from fermicorr import (
     two_point,
     validate_state,
 )
-from fermicorr.amplitudes import CSV_AMPLITUDE_HEADER
+from fermicorr.cli import SWEEP_HEADER
 from fermicorr.oracles import mode_sum_amplitudes
 
 R_BAR = math.pi / 4.0
@@ -336,7 +336,8 @@ def test_model_params_validation():
 
 
 def test_csv_header_frozen():
-    assert CSV_AMPLITUDE_HEADER == (
+    assert SWEEP_HEADER == (
         "xi", "K", "r_bar", "cutoff", "re_A", "re_X", "im_X",
         "u2", "v2", "re_L", "im_L", "g2", "c",
+        "sqrtD", "negativity", "conn_corr", "bell_chsh", "bell_opt", "hierarchy_ok",
     )

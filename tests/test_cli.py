@@ -21,7 +21,6 @@ from fermicorr import (
     report,
     sqrt_discord_xstate,
 )
-from fermicorr.amplitudes import amplitude_fields
 from fermicorr.cli import (
     DEFAULT_COUPLINGS,
     DEFAULT_R_BAR,
@@ -30,8 +29,8 @@ from fermicorr.cli import (
     DEFAULT_XI_STEPS,
     SWEEP_HEADER,
     SweepSpec,
+    amplitude_fields,
     figures,
-    load_state_dump,
     main,
     oracle_check,
     run_sweep,
@@ -39,7 +38,7 @@ from fermicorr.cli import (
     write_csv,
 )
 
-from conftest import sweep_rows
+from conftest import load_state_dump, sweep_rows
 
 R_BAR = math.pi / 4.0
 
@@ -61,6 +60,11 @@ def test_sweep_spec_validation():
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(), params=p)
     with pytest.raises(ValueError, match="couplings"):
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(-0.1,), params=p)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="couplings"):
+            SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1, bad), params=p)
+        with pytest.raises(ValueError, match="xi_min"):
+            SweepSpec(xi_min=0.0, xi_max=bad, xi_steps=5, couplings=(0.1,), params=p)
 
 
 def two_point_sizes(monkeypatch):
@@ -171,8 +175,8 @@ def test_sweep_rows_match_point_route():
             p = replace(spec.params, coupling=k)
             for xi in spec.xi_grid():
                 amps = compute_amplitudes(p, float(xi))
-                coeffs, rho = assemble(amps)
-                rep = report(rho, coeffs, amps)
+                coeffs, _ = assemble(amps)
+                rep = report(coeffs, amps)
                 expected = {
                     **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
                     "c": coeffs.c, "sqrtD": rep.sqrt_discord, "negativity": rep.negativity,
@@ -258,6 +262,21 @@ def test_sweep_cli_without_two_photon_weight(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "figures"])
+@pytest.mark.parametrize("argv,name", [
+    (["--coupling", "0.02", "--coupling", "inf"], "couplings"),
+    (["--coupling", "0.02", "--coupling", "nan"], "couplings"),
+    (["--xi-max", "inf"], "xi_max"),
+], ids=["inf-coupling", "nan-coupling", "inf-xi-max"])
+def test_sweep_cli_rejects_non_finite_arguments(tmp_path, capsys, command, argv, name):
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err
+    assert "amplitude" not in err
+    assert not out.exists()
+
+
 def test_sweep_cli_smoke(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([
@@ -309,6 +328,22 @@ def test_state_cli_exit_codes(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "min eigenvalue = -1.14" in err
+    assert main(["state", "--coupling", "0.02", "--coupling", "0.06"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: fermicorr state")
+    assert "argument --coupling: may be given only once" in err
+
+
+def test_state_cli_takes_one_coupling(capsys):
+    assert main(["state", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "dimensionless coupling K (default: 0.02)" in help_text
+    assert "repeatable" not in help_text
+    assert main(["state", "--xi", "1.3"]) == 0
+    default = capsys.readouterr().out
+    assert main(["state", "--xi", "1.3", "--coupling", "0.02"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_state_cli_writes_json(tmp_path):

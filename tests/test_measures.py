@@ -18,12 +18,14 @@ from fermicorr import (
     connected_correlation_xstate,
     decompose,
     geometric_discord,
+    measures,
     negativity,
     negativity_xstate,
     partial_transpose,
     random_state,
     report,
     sqrt_discord_xstate,
+    states,
 )
 
 from conftest import bell_projector
@@ -73,15 +75,6 @@ def test_discord_classically_correlated():
     assert geometric_discord(rho) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_discord_party_switch():
-    rho = random_state(3, "mixed")
-    da = geometric_discord(rho, party="A")
-    db = geometric_discord(rho, party="B")
-    assert 0.0 <= da <= 1.0 and 0.0 <= db <= 1.0
-    with pytest.raises(ValueError):
-        geometric_discord(rho, party="C")
-
-
 def test_sqrt_discord_xstate_examples():
     assert sqrt_discord_xstate(make_amps()) == 0.0
     assert sqrt_discord_xstate(make_amps(pair=0.01 + 0.0j)) == pytest.approx(0.01)
@@ -105,7 +98,7 @@ def test_negativity_werner_state():
     p = 2.0 / 3.0
     rho = p * bell_projector() + (1.0 - p) * np.eye(4) / 4.0
     # oracle: direct eigendecomposition of the partial transpose
-    ev = np.linalg.eigvalsh(partial_transpose(rho, "A"))
+    ev = np.linalg.eigvalsh(partial_transpose(rho))
     assert ev[0] == pytest.approx((1.0 - 3.0 * p) / 4.0, abs=1e-12)
     assert negativity(rho) == pytest.approx((3.0 * p - 1.0) / 2.0, abs=1e-12)
     assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
@@ -208,11 +201,11 @@ def test_closed_forms_take_arrays():
     xis = np.linspace(0.0, 2.0, 9)
     stack = compute_amplitudes(p, xis)
     coeffs, rho = assemble(stack)
-    rep = report(rho, coeffs, stack)
+    rep = report(coeffs, stack)
     assert rho.shape == (9, 4, 4)
     for i, xi in enumerate(xis):
         amps = compute_amplitudes(p, float(xi))
-        co, one_rho = assemble(amps)
+        co, _ = assemble(amps)
         for fn, one, many in (
             (sqrt_discord_xstate, amps, stack),
             (negativity_xstate, amps, stack),
@@ -226,13 +219,13 @@ def test_closed_forms_take_arrays():
         # the negativity turns on exactly where |X|^2 > u2 v2
         onset = abs(amps.exchange) ** 2 > amps.u2 * amps.v2
         assert (negativity_xstate(stack)[i] > 0.0) == onset
-        assert rep.hierarchy_ok[i] == report(one_rho, co, amps).hierarchy_ok
+        assert rep.hierarchy_ok[i] == report(co, amps).hierarchy_ok
 
 def test_report_initial_point():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     amps = compute_amplitudes(p, 0.0)
-    coeffs, rho = assemble(amps)
-    rep = report(rho, coeffs, amps)
+    coeffs, _ = assemble(amps)
+    rep = report(coeffs, amps)
     assert rep.sqrt_discord == 0.0
     assert rep.negativity == 0.0
     assert rep.connected_corr == 0.0
@@ -285,6 +278,24 @@ def test_measure_ranges():
         assert 0.0 <= geometric_discord(rho) <= 1.0
         assert 0.0 <= negativity(rho) <= 1.0
         assert 0.0 <= connected_correlation(rho) <= 1.0 + 1e-12
+
+
+def test_generic_measures_validate_once(monkeypatch):
+    calls = []
+    check = states.validate_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    # decompose looks the check up in states, negativity in measures
+    monkeypatch.setattr(states, "validate_state", counted)
+    monkeypatch.setattr(measures, "validate_state", counted)
+    rho = random_state(4, "mixed")
+    for measure in (geometric_discord, connected_correlation, negativity):
+        calls.clear()
+        measure(rho)
+        assert len(calls) == 1, measure.__name__
 
 
 # ---------------------------------------------------------------------------

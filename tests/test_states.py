@@ -58,6 +58,8 @@ def test_validate_rejects_negative_state():
     rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
     with pytest.raises(StateValidationError, match="positivity"):
         validate_state(rho)
+    with pytest.raises(StateValidationError, match="positivity"):
+        decompose(rho)
 
 
 def test_validate_state_stack():
@@ -113,29 +115,23 @@ def test_bloch_norm_identity():
 def test_partial_transpose_product_projector():
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 1.0
-    assert np.array_equal(partial_transpose(rho, "A"), rho)
+    assert np.array_equal(partial_transpose(rho), rho)
 
 
 def test_partial_transpose_bell_eigenvalues():
-    ev = np.linalg.eigvalsh(partial_transpose(bell_projector(), "A"))
+    ev = np.linalg.eigvalsh(partial_transpose(bell_projector()))
     assert np.allclose(np.sort(ev), [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
 
 def test_partial_transpose_involution_and_bounds():
     for seed in range(50):
         rho = random_state(seed, "mixed")
-        for party in ("A", "B"):
-            pt = partial_transpose(rho, party)
-            assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
-            assert abs(np.trace(pt) - 1.0) < 1e-14
-            assert np.max(np.abs(partial_transpose(pt, party) - rho)) == 0.0
-            ev = np.linalg.eigvalsh(pt)
-            assert ev[0] >= -0.5 - 1e-12 and ev[-1] <= 1.0 + 1e-12
-
-
-def test_partial_transpose_rejects_unknown_party():
-    with pytest.raises(ValueError):
-        partial_transpose(bell_projector(), "C")
+        pt = partial_transpose(rho)
+        assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
+        assert abs(np.trace(pt) - 1.0) < 1e-14
+        assert np.max(np.abs(partial_transpose(pt) - rho)) == 0.0
+        ev = np.linalg.eigvalsh(pt)
+        assert ev[0] >= -0.5 - 1e-12 and ev[-1] <= 1.0 + 1e-12
 
 
 def test_random_pure_state():
