@@ -25,6 +25,7 @@ from fermicorr.oracles import (
     _measurement_residual,
     _moments,
     _pair_covariance,
+    _search,
 )
 from fermicorr.states import IDENTITY_2, PAULI
 
@@ -35,6 +36,9 @@ GRID = DirectionGrid()
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 states = st.builds(
     random_state, st.integers(0, 2**32 - 1), st.sampled_from(["mixed", "xshape"])
+)
+all_states = st.builds(
+    random_state, st.integers(0, 2**32 - 1), st.sampled_from(["mixed", "xshape", "pure"])
 )
 axes = st.builds(
     lambda theta, phi: np.array(
@@ -251,3 +255,78 @@ def test_half_grid_coarse_optimum_equals_full_grid():
         ) <= 1e-14
         corr = _moments(random_state(seed, "xshape"))[0]
         assert abs(_chsh_value(corr, half, half).max() - _chsh_value(corr, dirs, dirs).max()) <= 1e-14
+
+
+def _residual_by_projectors(rho, n):
+    """2 ||rho - sum_+- (P+-(x)1) rho (P+-(x)1)||_2^2 for one axis n on qubit A."""
+    measured = np.zeros((4, 4), dtype=complex)
+    for sign in (1.0, -1.0):
+        proj = np.kron(0.5 * (IDENTITY_2 + sign * _axis_operator(n)), IDENTITY_2)
+        measured += proj @ rho @ proj
+    return 2.0 * np.linalg.norm(rho - measured) ** 2
+
+
+@PROPERTY
+@given(rho=all_states, n=axes, m=axes)
+def test_measurement_residual_matches_projector_definition(rho, n, m):
+    dirs = np.stack([n, m, -n])
+    residual = _measurement_residual(rho, dirs)
+    for value, axis in zip(residual, dirs):
+        assert abs(value - _residual_by_projectors(rho, axis)) <= 1e-14
+
+
+# The three search objectives as first written: the explicit projector sum,
+# the covariance with its outer product subtracted, and the CHSH Gram form
+# over the whole (b, b') batch at once. The oracles must land where these do.
+def _residual_reference(rho, dirs):
+    axis = np.einsum("mi,ijk->mjk", dirs, np.stack(PAULI))
+    measured = np.zeros((dirs.shape[0], 4, 4), dtype=complex)
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (IDENTITY_2 + sign * axis)
+        k4 = np.einsum("mab,cd->macbd", proj, IDENTITY_2).reshape(-1, 4, 4)
+        measured += np.einsum("mij,jk,mkl->mil", k4, rho, k4)
+    diff = rho[None, :, :] - measured
+    return 2.0 * np.einsum("mij,mij->m", diff, diff.conj()).real
+
+
+def _covariance_reference(moments, dirs_a, dirs_b):
+    corr, x, y = moments
+    return dirs_a @ corr @ dirs_b.T - np.outer(dirs_a @ x, dirs_b @ y)
+
+
+def _chsh_reference(corr, dirs_b, dirs_bp):
+    tb = dirs_b @ corr.T
+    tbp = dirs_bp @ corr.T
+    cross = 2.0 * (tb @ tbp.T)
+    plus = np.add.outer(np.einsum("mi,mi->m", tb, tb), np.einsum("mi,mi->m", tbp, tbp))
+    minus = plus - cross
+    plus += cross
+    for squared in (plus, minus):
+        np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
+    return plus + minus
+
+
+REGRESSION_SEEDS = [*range(30), 502, 564, 1888, 110000372]
+
+
+@pytest.mark.parametrize("seed", REGRESSION_SEEDS)
+def test_oracles_match_reference_objectives(seed):
+    dirs = GRID.directions()
+    half = _antipodal_half(dirs)
+    rho = random_state(seed, "mixed")
+    ref_value, (ref_n,) = _search(lambda d: _residual_reference(rho, d), [half], GRID, -1.0)
+    value, (n,) = _search(lambda d: _measurement_residual(rho, d), [half], GRID, -1.0)
+    assert abs(value - ref_value) <= 1e-14
+    assert np.abs(n - ref_n).max() <= 1e-12
+    assert abs(discord_bruteforce(rho, GRID) - ref_value) <= 1e-14
+
+    moments = _moments(rho)
+    ref_value, ref_axes = _search(lambda a, b: _covariance_reference(moments, a, b),
+                                  [half, dirs], GRID)
+    value, n, n_prime = maxcorr_bruteforce(rho, GRID)
+    assert abs(value - ref_value) <= 1e-14
+    assert np.abs(np.stack([n, n_prime]) - np.stack(ref_axes)).max() <= 1e-12
+
+    corr = _moments(random_state(seed, "xshape"))[0]
+    ref_value, _ = _search(lambda b, bp: _chsh_reference(corr, b, bp), [half, half], GRID)
+    assert chsh_gridopt(random_state(seed, "xshape"), GRID) == ref_value
