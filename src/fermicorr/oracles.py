@@ -7,13 +7,18 @@ against an independent code path. Refinement steps move in the tangent plane
 of the current best direction, which keeps the search well-behaved at the
 coordinate poles.
 
-The two-party objectives are written so that one coarse step is a few
-matrix products. The Pauli moments T_ab = <s_a s_b>, x_a = <s_a 1> and
-y_b = <1 s_b> are measured entry-wise from the state once per call; the
-connected correlation of axis batches A, B is then A T B^T - (A x)(B y)^T.
-The CHSH objective |Tb + Tb'| + |Tb - Tb'| uses the Gram form
+Every objective is written so that one coarse step is a few matrix
+products. The discord residual of the projective measurement along n on
+qubit A is the quadratic form 2 ||rho - Pi_n(rho)||_2^2 = Tr rho^2 - n^T Q n,
+with Q_ij = Re Tr(rho K_i rho K_j) and K_i = s_i (x) 1 taken once per call
+from the state (see :func:`_residual_form`). The Pauli moments
+T_ab = <s_a s_b>, x_a = <s_a 1> and y_b = <1 s_b> are measured entry-wise
+from the state once per call; the connected correlation of axis batches A, B
+is then (A W) B^T with W = T - x y^T. The CHSH objective
+|Tb + Tb'| + |Tb - Tb'| uses the Gram form
 |Tb +- Tb'|^2 = |Tb|^2 + |Tb'|^2 +- 2 Tb.Tb' from one product of the two
-batches. Where |Tb - Tb'| or |Tb + Tb'| is small (b' near +-b, or b -+ b'
+batches, taken in blocks of 48 rows of b so that its temporaries stay in
+cache. Where |Tb - Tb'| or |Tb + Tb'| is small (b' near +-b, or b -+ b'
 near a null direction of T) that branch loses digits to cancellation before
 its square root. The value is then off by at most about 1e-8 absolute,
 reached at b' = +-b as the square root of a rounding error of |Tb|^2 <= 1;
@@ -42,12 +47,19 @@ from numpy.polynomial.legendre import leggauss
 from .amplitudes import ModelParams
 from .states import IDENTITY_2, PAULI, partial_transpose, validate_state
 
-_SIGMA = np.stack(PAULI)  # (3, 2, 2)
 _SIGMA_1 = np.stack((IDENTITY_2,) + PAULI)  # (4, 2, 2), identity first
+_SIGMA_A = np.stack([np.kron(s, IDENTITY_2) for s in PAULI])  # (3, 4, 4): s_i (x) 1
 
-# 9-point meshes over a +-w window quarter the window each round
+# 9-point meshes over a +-w window quarter the window each round; the mesh
+# offsets in units of w, as (81, 1) columns of the 9 x 9 grid in row-major order
 _REFINE_MESH = 9
 _REFINE_SHRINK = 0.25
+_MESH_STEPS = np.linspace(-1.0, 1.0, _REFINE_MESH)
+_MESH_A = np.repeat(_MESH_STEPS, _REFINE_MESH)[:, None]
+_MESH_B = np.tile(_MESH_STEPS, _REFINE_MESH)[:, None]
+
+# (b, b') rows per CHSH block: its (48, 576) temporaries stay in cache
+_CHSH_BLOCK_ROWS = 48
 
 # Mode integrals run over k in (0, 40*cutoff); panel width resolves the
 # slowest oscillation period of the integrands (>= 2*pi/2.4 here).
@@ -91,13 +103,15 @@ class DirectionGrid:
 
 def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
     """Unit vectors fanned around ``center`` in its tangent plane."""
-    seed = np.array([1.0, 0.0, 0.0]) if abs(center[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = seed - np.dot(seed, center) * center
+    cx, cy, cz = center
+    # e1: the x axis (the y axis when center is near x) minus its center part
+    if abs(cx) < 0.9:
+        e1 = np.array([1.0 - cx * cx, -cx * cy, -cx * cz])
+    else:
+        e1 = np.array([-cy * cx, 1.0 - cy * cy, -cy * cz])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
-    steps = np.linspace(-half_width, half_width, _REFINE_MESH)
-    aa, bb = np.meshgrid(steps, steps, indexing="ij")
-    dirs = center[None, :] + aa.ravel()[:, None] * e1[None, :] + bb.ravel()[:, None] * e2[None, :]
+    e2 = np.array([cy * e1[2] - cz * e1[1], cz * e1[0] - cx * e1[2], cx * e1[1] - cy * e1[0]])
+    dirs = center + (half_width * _MESH_A) * e1 + (half_width * _MESH_B) * e2
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
@@ -142,16 +156,23 @@ def _moments(rho: np.ndarray):
     return r[1:, 1:], r[1:, 0], r[0, 1:]
 
 
-def _measurement_residual(rho, dirs):
-    """2 ||rho - Pi_n(rho)||_2^2 for a batch of measurement axes on qubit A."""
-    axis = np.einsum("mi,ijk->mjk", dirs, _SIGMA)
-    measured = np.zeros((dirs.shape[0], 4, 4), dtype=complex)
-    for sign in (1.0, -1.0):
-        proj = 0.5 * (IDENTITY_2 + sign * axis)
-        k4 = np.einsum("mab,cd->macbd", proj, IDENTITY_2).reshape(-1, 4, 4)
-        measured += np.einsum("mij,jk,mkl->mil", k4, rho, k4)
-    diff = rho[None, :, :] - measured
-    return 2.0 * np.einsum("mij,mij->m", diff, diff.conj()).real
+def _residual_form(rho: np.ndarray):
+    """(Tr rho^2, Q) with Q_ij = Re Tr(rho K_i rho K_j) and K_i = s_i (x) 1.
+
+    The measurement along n, Pi_n(rho) = sum_+- P_+- rho P_+- with
+    P_+- = (1 +- K_n)/2 and K_n = sum_i n_i K_i, is (rho + K_n rho K_n)/2.
+    K_n is Hermitian and squares to 1, so
+    2 ||rho - Pi_n(rho)||_2^2 = ||rho - K_n rho K_n||_2^2 / 2 = Tr rho^2 - n^T Q n.
+    """
+    rk = rho @ _SIGMA_A
+    return np.einsum("ab,ba->", rho, rho).real, np.einsum("iab,jba->ij", rk, rk).real
+
+
+def _measurement_residual(form, dirs):
+    """2 ||rho - Pi_n(rho)||_2^2 for a batch of measurement axes on qubit A,
+    from the form (Tr rho^2, Q) of :func:`_residual_form`."""
+    purity, q = form
+    return purity - np.einsum("mi,mi->m", dirs @ q, dirs)
 
 
 def discord_bruteforce(rho: np.ndarray, grid: DirectionGrid) -> float:
@@ -162,16 +183,16 @@ def discord_bruteforce(rho: np.ndarray, grid: DirectionGrid) -> float:
     of the grid plus tangent-plane refinement. Grid search can only overshoot
     a minimum, so the result brackets the closed form from above.
     """
-    rho = validate_state(rho)
+    form = _residual_form(validate_state(rho))
     coarse = [_antipodal_half(grid.directions())]
-    return _search(lambda dirs: _measurement_residual(rho, dirs), coarse, grid, -1.0)[0]
+    return _search(lambda dirs: _measurement_residual(form, dirs), coarse, grid, -1.0)[0]
 
 
 def _pair_covariance(moments, dirs_a, dirs_b):
-    """cov(n, n') = <(s.n)(s.n')> - <s.n><s.n'> for direction batches, from
-    the moments (T, x, y) of :func:`_moments`."""
+    """cov(n, n') = <(s.n)(s.n')> - <s.n><s.n'> = n^T W n' for direction
+    batches, with W = T - x y^T from the moments (T, x, y) of :func:`_moments`."""
     corr, x, y = moments
-    return dirs_a @ corr @ dirs_b.T - np.outer(dirs_a @ x, dirs_b @ y)
+    return (dirs_a @ (corr - np.outer(x, y))) @ dirs_b.T
 
 
 def maxcorr_bruteforce(
@@ -203,18 +224,25 @@ def _chsh_value(corr, dirs_b, dirs_bp):
 
     For fixed b, b' the optimum over unit a, a' is |T b + T b'| + |T b - T b'|,
     here in Gram form; see the module docstring for its cancellation bound.
+    It is evaluated in blocks of _CHSH_BLOCK_ROWS b rows, each element by the
+    same arithmetic as in one pass over the whole batch.
     """
     tb = dirs_b @ corr.T
     tbp = dirs_bp @ corr.T
-    cross = 2.0 * (tb @ tbp.T)
-    plus = np.add.outer(np.einsum("mi,mi->m", tb, tb), np.einsum("mi,mi->m", tbp, tbp))
-    minus = plus - cross
-    plus += cross
-    # in place: fresh (576, 576) temporaries cost more than the arithmetic;
-    # rounding can leave |T(b -+ b')|^2 slightly negative near b' = +-b
-    for squared in (plus, minus):
-        np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
-    return plus + minus
+    norm_b = np.einsum("mi,mi->m", tb, tb)
+    norm_bp = np.einsum("mi,mi->m", tbp, tbp)
+    out = np.empty((len(tb), len(tbp)))
+    for start in range(0, len(tb), _CHSH_BLOCK_ROWS):
+        rows = slice(start, start + _CHSH_BLOCK_ROWS)
+        cross = 2.0 * (tb[rows] @ tbp.T)
+        plus = np.add.outer(norm_b[rows], norm_bp)
+        minus = plus - cross
+        plus += cross
+        # rounding can leave |T(b -+ b')|^2 slightly negative near b' = +-b
+        for squared in (plus, minus):
+            np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
+        np.add(plus, minus, out=out[rows])
+    return out
 
 
 def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:

@@ -25,6 +25,7 @@ from fermicorr.oracles import (
     _measurement_residual,
     _moments,
     _pair_covariance,
+    _residual_form,
     _search,
 )
 from fermicorr.states import IDENTITY_2, PAULI
@@ -223,8 +224,9 @@ def test_chsh_gram_form_cancellation_at_parallel_axes(rho, b, sign):
 def test_oracle_objectives_even_in_each_axis(rho, n, nprime):
     n, nprime = n[None], nprime[None]
     moments = _moments(rho)
-    residual = _measurement_residual(rho, n)
-    assert abs(_measurement_residual(rho, -n) - residual)[0] <= 1e-14
+    form = _residual_form(rho)
+    residual = _measurement_residual(form, n)
+    assert abs(_measurement_residual(form, -n) - residual)[0] <= 1e-14
     cov = _pair_covariance(moments, n, nprime)
     assert abs(_pair_covariance(moments, -n, -nprime) - cov)[0, 0] <= 1e-14
     chsh = _chsh_value(moments[0], n, nprime)
@@ -246,9 +248,9 @@ def test_half_grid_coarse_optimum_equals_full_grid():
     half = _antipodal_half(dirs)
     for seed in range(30):
         rho = random_state(seed, "mixed")
-        moments = _moments(rho)
+        moments, form = _moments(rho), _residual_form(rho)
         assert abs(
-            _measurement_residual(rho, half).min() - _measurement_residual(rho, dirs).min()
+            _measurement_residual(form, half).min() - _measurement_residual(form, dirs).min()
         ) <= 1e-14
         assert abs(
             _pair_covariance(moments, half, dirs).max() - _pair_covariance(moments, dirs, dirs).max()
@@ -270,7 +272,7 @@ def _residual_by_projectors(rho, n):
 @given(rho=all_states, n=axes, m=axes)
 def test_measurement_residual_matches_projector_definition(rho, n, m):
     dirs = np.stack([n, m, -n])
-    residual = _measurement_residual(rho, dirs)
+    residual = _measurement_residual(_residual_form(rho), dirs)
     for value, axis in zip(residual, dirs):
         assert abs(value - _residual_by_projectors(rho, axis)) <= 1e-14
 
@@ -315,7 +317,8 @@ def test_oracles_match_reference_objectives(seed):
     half = _antipodal_half(dirs)
     rho = random_state(seed, "mixed")
     ref_value, (ref_n,) = _search(lambda d: _residual_reference(rho, d), [half], GRID, -1.0)
-    value, (n,) = _search(lambda d: _measurement_residual(rho, d), [half], GRID, -1.0)
+    form = _residual_form(rho)
+    value, (n,) = _search(lambda d: _measurement_residual(form, d), [half], GRID, -1.0)
     assert abs(value - ref_value) <= 1e-14
     assert np.abs(n - ref_n).max() <= 1e-12
     assert abs(discord_bruteforce(rho, GRID) - ref_value) <= 1e-14
