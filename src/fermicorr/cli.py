@@ -73,7 +73,11 @@ ORACLE_TOLERANCES = {
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A (xi, coupling) sweep: grid ranges, coupling list and shared params."""
+    """A (xi, coupling) sweep: grid ranges, coupling list and shared params.
+
+    The couplings live in ``couplings`` alone; ``params`` holds the unit
+    coupling that the sweep's one quadrature pass runs at.
+    """
 
     xi_min: float
     xi_max: float
@@ -92,6 +96,8 @@ class SweepSpec:
             raise ValueError("couplings must be non-empty")
         if not all(0.0 <= k < math.inf for k in self.couplings):
             raise ValueError(f"couplings must all be finite and >= 0, got {self.couplings}")
+        if self.params.coupling != 1.0:
+            raise ValueError(f"params must be at unit coupling, got {self.params.coupling}")
 
     def xi_grid(self) -> np.ndarray:
         return np.linspace(self.xi_min, self.xi_max, self.xi_steps)
@@ -121,7 +127,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     point in the stack's order: the smallest failing xi, and the smallest
     failing coupling at that xi.
     """
-    unit = compute_amplitudes(replace(spec.params, coupling=1.0), spec.xi_grid()[:, None])
+    unit = compute_amplitudes(spec.params, spec.xi_grid()[:, None])
     amps = unit.scaled(np.array(sorted(spec.couplings)))
     coeffs, _ = assemble(amps)
     rep = report(coeffs, amps)
@@ -286,7 +292,7 @@ def _model_params(args, coupling: float) -> ModelParams:
 def _sweep_spec(args) -> SweepSpec:
     couplings = tuple(args.coupling or DEFAULT_COUPLINGS)
     return SweepSpec(xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
-                     couplings=couplings, params=_model_params(args, couplings[0]))
+                     couplings=couplings, params=_model_params(args, 1.0))
 
 
 def main(argv=None) -> int:

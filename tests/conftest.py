@@ -32,7 +32,7 @@ def default_sweep():
         xi_max=DEFAULT_XI_MAX,
         xi_steps=DEFAULT_XI_STEPS,
         couplings=DEFAULT_COUPLINGS,
-        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=DEFAULT_COUPLINGS[0]),
+        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=1.0),
     )
     start = time.perf_counter()
     rows = sweep_rows(run_sweep(spec))

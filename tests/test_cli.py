@@ -46,12 +46,12 @@ R_BAR = math.pi / 4.0
 def small_spec(couplings=(0.04, 0.02), steps=5, cutoff=50.0):
     return SweepSpec(
         xi_min=0.0, xi_max=2.0, xi_steps=steps, couplings=couplings,
-        params=ModelParams(r_bar=R_BAR, coupling=couplings[0], cutoff=cutoff),
+        params=ModelParams(r_bar=R_BAR, coupling=1.0, cutoff=cutoff),
     )
 
 
 def test_sweep_spec_validation():
-    p = ModelParams(r_bar=R_BAR, coupling=0.1)
+    p = ModelParams(r_bar=R_BAR, coupling=1.0)
     with pytest.raises(ValueError, match="xi_min"):
         SweepSpec(xi_min=2.0, xi_max=1.0, xi_steps=5, couplings=(0.1,), params=p)
     with pytest.raises(ValueError, match="xi_steps"):
@@ -65,6 +65,9 @@ def test_sweep_spec_validation():
             SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1, bad), params=p)
         with pytest.raises(ValueError, match="xi_min"):
             SweepSpec(xi_min=0.0, xi_max=bad, xi_steps=5, couplings=(0.1,), params=p)
+    with pytest.raises(ValueError, match="unit coupling"):
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1,),
+                  params=replace(p, coupling=0.1))
 
 
 def two_point_sizes(monkeypatch):
@@ -202,7 +205,7 @@ def test_sweep_matches_golden_csv():
     expected = dict(zip(SWEEP_HEADER, zip(*(line.split(",") for line in lines))))
     spec = SweepSpec(
         xi_min=DEFAULT_XI_MIN, xi_max=DEFAULT_XI_MAX, xi_steps=41, couplings=DEFAULT_COUPLINGS,
-        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=DEFAULT_COUPLINGS[0]),
+        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=1.0),
     )
     columns = run_sweep(spec)
     assert columns["hierarchy_ok"].tolist() == [v == "true" for v in expected["hierarchy_ok"]]
@@ -266,8 +269,9 @@ def test_sweep_cli_without_two_photon_weight(tmp_path, capsys):
 @pytest.mark.parametrize("argv,name", [
     (["--coupling", "0.02", "--coupling", "inf"], "couplings"),
     (["--coupling", "0.02", "--coupling", "nan"], "couplings"),
+    (["--coupling", "nan"], "couplings"),
     (["--xi-max", "inf"], "xi_max"),
-], ids=["inf-coupling", "nan-coupling", "inf-xi-max"])
+], ids=["inf-coupling", "nan-coupling", "single-nan-coupling", "inf-xi-max"])
 def test_sweep_cli_rejects_non_finite_arguments(tmp_path, capsys, command, argv, name):
     out = tmp_path / "out"
     assert main([command, *argv, "--out", str(out)]) == 1
