@@ -103,13 +103,11 @@ class DirectionGrid:
 
 def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
     """Unit vectors fanned around ``center`` in its tangent plane."""
-    cx, cy, cz = center
-    # e1: the x axis (the y axis when center is near x) minus its center part
-    if abs(cx) < 0.9:
-        e1 = np.array([1.0 - cx * cx, -cx * cy, -cx * cz])
-    else:
-        e1 = np.array([-cy * cx, 1.0 - cy * cy, -cy * cz])
+    seed = np.array([1.0, 0.0, 0.0]) if abs(center[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = seed - np.dot(seed, center) * center
     e1 /= np.linalg.norm(e1)
+    # center x e1 by components: np.cross costs more than the rest of the mesh
+    cx, cy, cz = center
     e2 = np.array([cy * e1[2] - cz * e1[1], cz * e1[0] - cx * e1[2], cx * e1[1] - cy * e1[0]])
     dirs = center + (half_width * _MESH_A) * e1 + (half_width * _MESH_B) * e2
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
