@@ -259,24 +259,6 @@ def test_half_grid_coarse_optimum_equals_full_grid():
         assert abs(_chsh_value(corr, half, half).max() - _chsh_value(corr, dirs, dirs).max()) <= 1e-14
 
 
-def _residual_by_projectors(rho, n):
-    """2 ||rho - sum_+- (P+-(x)1) rho (P+-(x)1)||_2^2 for one axis n on qubit A."""
-    measured = np.zeros((4, 4), dtype=complex)
-    for sign in (1.0, -1.0):
-        proj = np.kron(0.5 * (IDENTITY_2 + sign * _axis_operator(n)), IDENTITY_2)
-        measured += proj @ rho @ proj
-    return 2.0 * np.linalg.norm(rho - measured) ** 2
-
-
-@PROPERTY
-@given(rho=all_states, n=axes, m=axes)
-def test_measurement_residual_matches_projector_definition(rho, n, m):
-    dirs = np.stack([n, m, -n])
-    residual = _measurement_residual(_residual_form(rho), dirs)
-    for value, axis in zip(residual, dirs):
-        assert abs(value - _residual_by_projectors(rho, axis)) <= 1e-14
-
-
 # The three search objectives as first written: the explicit projector sum,
 # the covariance with its outer product subtracted, and the CHSH Gram form
 # over the whole (b, b') batch at once. The oracles must land where these do.
@@ -289,6 +271,15 @@ def _residual_reference(rho, dirs):
         measured += np.einsum("mij,jk,mkl->mil", k4, rho, k4)
     diff = rho[None, :, :] - measured
     return 2.0 * np.einsum("mij,mij->m", diff, diff.conj()).real
+
+
+@PROPERTY
+@given(rho=all_states, n=axes, m=axes)
+def test_measurement_residual_matches_projector_definition(rho, n, m):
+    # 2 ||rho - sum_+- (P+- (x) 1) rho (P+- (x) 1)||_2^2, one projector pair per axis
+    dirs = np.stack([n, m, -n])
+    residual = _measurement_residual(_residual_form(rho), dirs)
+    assert np.abs(residual - _residual_reference(rho, dirs)).max() <= 1e-14
 
 
 def _covariance_reference(moments, dirs_a, dirs_b):
