@@ -67,7 +67,7 @@ ORACLE_TOLERANCES = {
     "discord": 1e-5,
     "conn_corr": 1e-5,
     "negativity": 1e-12,
-    "bell_opt": 1e-4,
+    "bell_opt": 1e-5,
 }
 
 
@@ -315,9 +315,6 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle-check", help="closed forms vs brute-force oracles")
     p_oracle.add_argument("--count", type=int, default=100)
     p_oracle.add_argument("--seed", type=int, default=7)
-    p_oracle.add_argument("--polar-steps", type=int, default=24)
-    p_oracle.add_argument("--azimuth-steps", type=int, default=48)
-    p_oracle.add_argument("--refine-rounds", type=int, default=6)
     p_oracle.add_argument("--out", default=None, help="write the JSON report here")
 
     p_fig = sub.add_parser("figures", help="emit plot-ready CSV datasets")
@@ -346,12 +343,7 @@ def main(argv=None) -> int:
                 print(text)
             return 0
         if args.command == "oracle-check":
-            grid = DirectionGrid(
-                polar_steps=args.polar_steps,
-                azimuth_steps=args.azimuth_steps,
-                refine_rounds=args.refine_rounds,
-            )
-            rep = oracle_check(args.count, args.seed, grid)
+            rep = oracle_check(args.count, args.seed, DirectionGrid())
             text = json.dumps(rep, indent=2)
             if args.out:
                 with open(args.out, "w", newline="\n") as fh:

@@ -5,7 +5,7 @@ measured on the state and optimizes by deterministic grid search with local
 refinement, so the closed forms in :mod:`fermicorr.measures` can be checked
 against an independent code path. Refinement steps move in the tangent plane
 of the current best direction, which keeps the search well-behaved at the
-coordinate poles.
+coordinate poles, and stop once their window is below a fixed floor.
 
 Every objective is written so that one coarse step is a few matrix
 products. The discord residual of the projective measurement along n on
@@ -30,7 +30,7 @@ in pairs or not at all), so the coarse search runs on the antipodal half of
 the grid: the first half of the theta-major ``DirectionGrid.directions()``,
 which holds one direction of every antipodal pair when ``azimuth_steps`` is
 even. Discord searches n on it, the connected correlation n (not n'), and
-CHSH both b and b'. Refinement meshes are unchanged.
+CHSH both b and b'.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
@@ -50,13 +50,17 @@ from .states import IDENTITY_2, PAULI, partial_transpose, validate_state
 _SIGMA_1 = np.stack((IDENTITY_2,) + PAULI)  # (4, 2, 2), identity first
 _SIGMA_A = np.stack([np.kron(s, IDENTITY_2) for s in PAULI])  # (3, 4, 4): s_i (x) 1
 
-# 9-point meshes over a +-w window quarter the window each round; the mesh
-# offsets in units of w, as (81, 1) columns of the 9 x 9 grid in row-major order
+# 9-point meshes over a +-w window: the offsets in units of w as (81, 1) columns
+# of the 9 x 9 grid in row-major order, and the mask of its outer ring
 _REFINE_MESH = 9
-_REFINE_SHRINK = 0.25
 _MESH_STEPS = np.linspace(-1.0, 1.0, _REFINE_MESH)
 _MESH_A = np.repeat(_MESH_STEPS, _REFINE_MESH)[:, None]
 _MESH_B = np.tile(_MESH_STEPS, _REFINE_MESH)[:, None]
+_MESH_RING = ((np.abs(_MESH_A) == 1.0) | (np.abs(_MESH_B) == 1.0)).ravel()
+
+# refinement ends once its window is below the floor; the cap only bounds the loop
+_WINDOW_FLOOR = 1e-5
+_MAX_ROUNDS = 200
 
 # (b, b') rows per CHSH block: its (48, 576) temporaries stay in cache
 _CHSH_BLOCK_ROWS = 48
@@ -72,19 +76,16 @@ _MODE_REFINE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DirectionGrid:
-    """Spherical search grid: polar x azimuth nodes plus refinement rounds."""
+    """Spherical search grid: polar x azimuth nodes."""
 
     polar_steps: int = 24
     azimuth_steps: int = 48
-    refine_rounds: int = 6
 
     def __post_init__(self):
         if self.polar_steps < 24:
             raise ValueError(f"polar_steps must be >= 24, got {self.polar_steps}")
         if self.azimuth_steps < 48:
             raise ValueError(f"azimuth_steps must be >= 48, got {self.azimuth_steps}")
-        if self.refine_rounds < 2:
-            raise ValueError(f"refine_rounds must be >= 2, got {self.refine_rounds}")
 
     def directions(self) -> np.ndarray:
         """Coarse unit-vector grid; the exact poles are included."""
@@ -117,24 +118,29 @@ def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0):
     """Maximize ``sign * objective`` over one measurement axis per batch.
 
     ``objective`` maps k direction batches to an array with one axis per
-    batch. The coarse step evaluates it on ``coarse_batches``, and each
-    of ``grid.refine_rounds`` rounds on tangent meshes around the best axes
-    so far, with a window that starts at one grid cell and shrinks by
-    _REFINE_SHRINK per round. sign = -1 minimizes. Returns (value, axes):
+    batch. The coarse step evaluates it on ``coarse_batches``, and each round
+    on tangent meshes of half-width w around the best axes so far. A round
+    whose best point improves on the outer ring of a mesh moves there and
+    doubles w, up to its start of one grid cell; any other round keeps an
+    improvement and quarters w. The search ends once w < _WINDOW_FLOOR, or
+    after _MAX_ROUNDS rounds. sign = -1 minimizes. Returns (value, axes):
     the best value of ``objective`` itself and a list of its k axes.
     """
     def best_of(batches):
         vals = sign * objective(*batches)
         idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return vals[idx], [batch[i] for batch, i in zip(batches, idx)]
+        return vals[idx], [batch[i] for batch, i in zip(batches, idx)], idx
 
-    best, axes = best_of(coarse_batches)
-    w = grid.initial_window()
-    for _ in range(grid.refine_rounds):
-        value, centers = best_of([_tangent_mesh(axis, w) for axis in axes])
-        if value > best:
+    best, axes, _ = best_of(coarse_batches)
+    w = w_max = grid.initial_window()
+    for _ in range(_MAX_ROUNDS):
+        value, centers, idx = best_of([_tangent_mesh(axis, w) for axis in axes])
+        improved = value > best
+        if improved:
             best, axes = value, centers
-        w *= _REFINE_SHRINK
+        w = min(2.0 * w, w_max) if improved and _MESH_RING[list(idx)].any() else 0.25 * w
+        if w < _WINDOW_FLOOR:
+            break
     return sign * float(best), axes
 
 

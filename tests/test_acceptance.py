@@ -25,10 +25,10 @@ from fermicorr import (
     random_state,
     sqrt_discord_xstate,
 )
-from fermicorr.cli import DEFAULT_COUPLINGS, DEFAULT_R_BAR, oracle_check
+from fermicorr.cli import DEFAULT_COUPLINGS, DEFAULT_R_BAR, SweepSpec, oracle_check, run_sweep
 from fermicorr.oracles import mode_sum_amplitudes
 
-from conftest import sweep_block
+from conftest import sweep_block, sweep_rows
 
 GRID_STEP = 0.005
 
@@ -122,30 +122,59 @@ def test_criterion_05_spacelike_correlations():
     assert ok
 
 
+# At r_bar = 5 exchange overtakes the emission weights, |X|^2 > u2 v2, inside
+# xi in [0, 6] (at xi = 2.795 for any K, since both sides scale as K^2); at the
+# default r_bar = pi/4 it never does. Both couplings assemble on all of [0, 6].
+ONSET_R_BAR = 5.0
+ONSET_COUPLINGS = (0.0005, 0.002)
+# the generic negativity reads a few 1e-16 where the state is separable
+NEGATIVITY_NOISE = 1e-12
+
+
+def _onset_agreement(rows, couplings):
+    """Whether negativity > 0 exactly where |X|^2 > u2 v2 in every coupling
+    block, and the first such xi per coupling (None where there is none)."""
+    agree, onsets = True, {}
+    for coupling in couplings:
+        block = sweep_block(rows, coupling)
+        neg_on = [r["negativity"] > 0.0 for r in block]
+        cond_on = [r["re_X"] ** 2 + r["im_X"] ** 2 > r["u2"] * r["v2"] for r in block]
+        agree &= neg_on == cond_on
+        onsets[coupling] = next((r["xi"] for r, on in zip(block, cond_on) if on), None)
+    return agree, onsets
+
+
 def test_criterion_06_entanglement_onset(default_sweep):
-    """Negativity turns on exactly where exchange beats the emission weights."""
-    agree = True
-    details = []
-    for coupling in DEFAULT_COUPLINGS:
-        rows = sweep_block(default_sweep["rows"], coupling)
-        neg_on = [r["xi"] for r in rows if r["negativity"] > 0.0]
-        cond_on = [
-            r["xi"] for r in rows if r["re_X"] ** 2 + r["im_X"] ** 2 > r["u2"] * r["v2"]
-        ]
-        for r in rows:
-            agree &= (r["negativity"] > 0.0) == (
-                r["re_X"] ** 2 + r["im_X"] ** 2 > r["u2"] * r["v2"]
-            )
-        if bool(neg_on) != bool(cond_on):
-            agree = False
-            details.append(f"K={coupling}: onset mismatch")
-        elif neg_on:
-            agree &= abs(neg_on[0] - cond_on[0]) <= GRID_STEP + 1e-12
-            details.append(f"K={coupling}: onset at {neg_on[0]:.3f}")
-        else:
-            details.append(f"K={coupling}: no onset")
-    _verdict(6, "entanglement onset", agree, "; ".join(details))
-    assert agree
+    """Negativity turns on exactly where exchange beats the emission weights:
+    on the default sweep, which has no onset, and at r_bar = 5, which has one.
+    There the generic negativity of the assembled state is positive exactly
+    where the closed form is, and the vacuum population 1 + 2 re_A stays
+    positive (the regime margin)."""
+    default_agree, default_onsets = _onset_agreement(default_sweep["rows"], DEFAULT_COUPLINGS)
+    spec = SweepSpec(xi_min=0.0, xi_max=6.0, xi_steps=1201, couplings=ONSET_COUPLINGS,
+                     params=ModelParams(r_bar=ONSET_R_BAR, coupling=1.0))
+    rows = sweep_rows(run_sweep(spec))
+    onset_agree, onsets = _onset_agreement(rows, ONSET_COUPLINGS)
+    margins, generic_agree = {}, True
+    for coupling in ONSET_COUPLINGS:
+        block = sweep_block(rows, coupling)
+        margins[coupling] = min(1.0 + 2.0 * r["re_A"] for r in block)
+        amps = compute_amplitudes(ModelParams(r_bar=ONSET_R_BAR, coupling=coupling),
+                                  np.array([r["xi"] for r in block[::10]]))
+        _, rho = assemble(amps)
+        generic = np.array([negativity(m) for m in rho])
+        generic_agree &= np.array_equal(generic > NEGATIVITY_NOISE, negativity_xstate(amps) > 0.0)
+    ok = (default_agree and onset_agree and generic_agree and min(margins.values()) > 0.0
+          and None not in onsets.values())
+    detail = "; ".join(
+        [f"r_bar=pi/4 K={k}: {'no onset' if x is None else f'onset at {x:.3f}'}"
+         for k, x in default_onsets.items()]
+        + [f"r_bar=5 K={k}: onset at {onsets[k]}, min(1+2reA)={margins[k]:.3f}"
+           for k in ONSET_COUPLINGS]
+        + [f"generic matches closed form={generic_agree}"]
+    )
+    _verdict(6, "entanglement onset", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_07_bell_behavior(default_sweep):

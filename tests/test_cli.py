@@ -381,6 +381,9 @@ def test_oracle_check_cli_exit_codes(tmp_path):
     rc = main(["oracle-check", "--count", "2", "--seed", "7", "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["ok"] is True
+    # a near-degenerate state that a fixed round count left 1.2e-5 off
+    assert main(["oracle-check", "--count", "1", "--seed", "2636"]) == 0
+    assert main(["oracle-check", "--refine-rounds", "3"]) == 1
 
 
 def test_figures_outputs(tmp_path):

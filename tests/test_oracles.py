@@ -19,6 +19,7 @@ from fermicorr import (
     negativity_eig,
     random_state,
 )
+from fermicorr.cli import oracle_check
 from fermicorr.oracles import (
     _antipodal_half,
     _chsh_value,
@@ -60,8 +61,6 @@ def test_direction_grid_validation():
         DirectionGrid(polar_steps=8)
     with pytest.raises(ValueError, match="azimuth_steps"):
         DirectionGrid(azimuth_steps=16)
-    with pytest.raises(ValueError, match="refine_rounds"):
-        DirectionGrid(refine_rounds=1)
 
 
 def test_direction_grid_includes_poles():
@@ -86,23 +85,6 @@ def test_discord_bruteforce_matches_closed_form():
         brute = discord_bruteforce(rho, GRID)
         assert brute >= closed - 1e-6  # a grid can only overshoot a minimum
         assert abs(brute - closed) < 1e-5
-
-
-def test_discord_refinement_monotone():
-    rho = random_state(123, "mixed")
-    values = [
-        discord_bruteforce(rho, DirectionGrid(refine_rounds=r)) for r in (2, 3, 4, 6)
-    ]
-    assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_max_oracles_refinement_monotone():
-    rho = random_state(123, "mixed")
-    rounds = (2, 3, 4, 6)
-    corr_values = [maxcorr_bruteforce(rho, DirectionGrid(refine_rounds=r))[0] for r in rounds]
-    chsh_values = [chsh_gridopt(rho, DirectionGrid(refine_rounds=r)) for r in rounds]
-    assert all(a <= b + 1e-15 for a, b in zip(corr_values, corr_values[1:]))
-    assert all(a <= b + 1e-15 for a, b in zip(chsh_values, chsh_values[1:]))
 
 
 def test_maxcorr_bruteforce_bell_projector():
@@ -160,8 +142,21 @@ def test_chsh_gridopt_matches_bell_opt():
             rho14=complex(rho[0, 3]), rho23=complex(rho[1, 2]), c=1.0,
         )
         value = chsh_gridopt(rho, GRID)
-        assert abs(value - bell_opt(co)) < 1e-4
+        assert abs(value - bell_opt(co)) < 1e-5
         assert value <= 2.0 * math.sqrt(2.0) + 1e-6
+
+
+# States on which a fixed number of refinement rounds stalls on a flat ridge
+# of near-degenerate singular values: discord (4000201), connected
+# correlation (11000152, 2636, 2254) and CHSH (110000372, 502, 1888).
+RIDGE_SEEDS = [4000201, 11000152, 2636, 2254, 110000372, 502, 1888]
+
+
+@pytest.mark.parametrize("seed", RIDGE_SEEDS)
+def test_oracle_check_resolves_ridge_states(seed):
+    rep = oracle_check(1, seed, GRID)
+    assert rep["ok"] is True
+    assert max(rep["max_deviation"].values()) <= 1e-9, rep["max_deviation"]
 
 
 def test_oracles_deterministic():
