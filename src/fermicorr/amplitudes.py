@@ -9,9 +9,10 @@ exponential mode regularization exp(-k/omega_c).
 All five amplitudes are double-time integrals of the regularized two-point
 function, reduced exactly to the time difference and evaluated with one
 composite Gauss-Legendre rule graded geometrically toward the eps-wide
-light-cone peak, so its accuracy does not depend on the cutoff. The mode-sum
-evaluation of the emission weights and the pair coherence lives in
-:mod:`fermicorr.oracles` as an independent check.
+light-cone peak. Every panel takes the same 24 nodes, and since each panel
+lies about one width from the pole, the accuracy of the rule does not depend
+on the cutoff. The mode-sum evaluation of the emission weights and the pair
+coherence lives in :mod:`fermicorr.oracles` as an independent check.
 
 A whole xi grid is evaluated in one pass. The integrands are split into
 node moments that do not depend on xi, the graded panels of the grid are
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,11 +34,11 @@ from numpy.polynomial.legendre import leggauss
 from .states import POSITIVITY_ATOL, unwrap_scalar
 
 DEFAULT_CUTOFF = 300.0
-DEFAULT_QUAD_POINTS = 256
 
 # Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k.
 _PANEL_GROWTH = 4.0
-_MIN_PANEL_NODES = 8
+# Gauss-Legendre nodes and weights of every panel.
+_GAUSS = leggauss(24)
 # Time-difference nodes per two_point evaluation: a default sweep takes a few
 # such blocks, and a longer grid takes more of them rather than larger ones.
 _BLOCK_NODES = 1 << 14
@@ -56,7 +56,6 @@ class ModelParams:
     r_bar: float
     coupling: float
     cutoff: float = DEFAULT_CUTOFF
-    quad_points: int = DEFAULT_QUAD_POINTS
     include_two_photon: bool = True
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class ModelParams:
             raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
         if not 10 <= self.cutoff < math.inf:
             raise ValueError(f"cutoff must be finite and >= 10, got {self.cutoff}")
-        if not self.quad_points >= 32:
-            raise ValueError(f"quad_points must be >= 32, got {self.quad_points}")
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,7 @@ def two_point(dx, dt, cutoff: float):
     return (eps + 1j * (dt - dx)) ** -2.0 + (eps + 1j * (dt + dx)) ** -2.0
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    return leggauss(n)
-
-
-def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, moments):
+def _integrate(tau: np.ndarray, pole: float, cutoff: float, moments):
     """Per-tau sums of the tau-free node ``moments(d, wd)`` over a composite
     Gauss-Legendre rule on [0, tau], for every tau > 0 of an array.
 
@@ -147,12 +139,13 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, moments):
     light-cone separation, or 0 for the equal-position kernel). With the pole
     first clipped into [0, tau], panels end at the pole and at
     pole +- eps*4**k, so their widths grow geometrically away from the peak.
-    The node budget ``n`` is split evenly over the panels (at least 8 per
-    panel), which keeps the accuracy of the rule independent of the cutoff.
-    These cuts are shared by every tau with the same panel count, so each
-    distinct panel (bitwise the same bounds and order) is evaluated once, its
-    nodes _BLOCK_NODES at a time, and each tau adds up the sums of its own
-    panels in panel order. Returns one array of per-tau sums per moment.
+    Each panel then sits about one width from the complex pole of the
+    integrand, so one Gauss order, _GAUSS, converges at the same rate on every
+    panel and at any cutoff. The cuts are shared by every tau with the same
+    panel count, so each distinct panel (bitwise the same bounds) is evaluated
+    once, _BLOCK_NODES nodes at a time as a (panels, order) array, and each tau
+    adds up the sums of its own panels in panel order. Returns one array of
+    per-tau sums per moment.
     """
     eps = 1.0 / cutoff
     pole = np.minimum(np.maximum(pole, 0.0), tau)
@@ -169,40 +162,26 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, n: int, moments):
     valid = cuts[:, 1:] < np.inf
     count = valid.sum(axis=1)
     lower, upper = cuts[:, :-1][valid], cuts[:, 1:][valid]
-    order = np.maximum(_MIN_PANEL_NODES, n // count)[np.nonzero(valid)[0]]
-    distinct = np.arange(order.size)  # the distinct panel of each panel
-    if tau.size > 1:  # only panels of different taus can repeat
-        # lexsort and diff, as np.unique would import numpy.ma
-        keys = np.array((order, upper.view(np.int64), lower.view(np.int64)))
-        sort = np.lexsort(keys)
-        change = np.diff(keys[:, sort], axis=1) != 0
-        new = np.concatenate(([True], change[0] | change[1] | change[2]))
-        distinct[sort] = np.cumsum(new) - 1
-        lower, upper, order = (v[sort[new]] for v in (lower, upper, order))
+    # lexsort and diff, as np.unique would import numpy.ma
+    keys = np.array((upper.view(np.int64), lower.view(np.int64)))
+    sort = np.lexsort(keys)
+    new = np.concatenate(([True], (np.diff(keys[:, sort], axis=1) != 0).any(axis=0)))
+    distinct = np.empty_like(sort)  # the distinct panel of each panel
+    distinct[sort] = np.cumsum(new) - 1
+    lower, upper = lower[sort[new], None], upper[sort[new], None]
     half = 0.5 * (upper - lower)
-    ends = np.cumsum(order)
-    orders = sorted(set(order.tolist()))
-    x_all, w_all = map(np.concatenate, zip(*(_leggauss(q) for q in orders)))
-    # node g of panel p is entry table[p] + g of x_all and w_all
-    table = (np.cumsum(orders) - orders)[np.searchsorted(orders, order)] - (ends - order)
-    sums = None
-    for start in range(0, ends[-1], _BLOCK_NODES):
-        g = np.arange(start, min(start + _BLOCK_NODES, ends[-1]))
-        p = np.searchsorted(ends, g, side="right")
-        k = table[p] + g
-        h = half[p]
-        d = lower[p] + h * (x_all[k] + 1.0)
-        lo, hi = p[0], p[-1] + 1  # the block holds panels lo..hi-1
-        first = np.searchsorted(p, np.arange(lo, hi))
-        block = [np.add.reduceat(v, first) for v in moments(d, h * w_all[k])]
-        sums = sums or [np.zeros(order.size, v.dtype) for v in block]
-        for total, v in zip(sums, block):
-            total[lo:hi] += v
+    x, w = _GAUSS
+    step = _BLOCK_NODES // x.size  # panels per block
+    blocks = []
+    for start in range(0, half.size, step):
+        h = half[start:start + step]
+        d = lower[start:start + step] + h * (x + 1.0)
+        blocks.append([v.sum(axis=1) for v in moments(d, h * w)])
     first = np.cumsum(count) - count
-    return [np.add.reduceat(total[distinct], first) for total in sums]
+    return [np.add.reduceat(np.concatenate(v)[distinct], first) for v in zip(*blocks)]
 
 
-def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float, n: int):
+def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float):
     """Coupling-free double-time integrals, reduced to the difference variable.
 
     For integrands f(t1 - t2) on the square [0, tau]^2 the exact reduction is
@@ -224,8 +203,8 @@ def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float, n: int):
         even, odd = np.cos(d) * w.real, np.sin(d) * w.imag
         return even, d * even, odd, d * odd
 
-    f, df, sin_re = _integrate(tau, r_bar, cutoff, n, separated)
-    even, d_even, odd, d_odd = _integrate(tau, 0.0, cutoff, n, local)
+    f, df, sin_re = _integrate(tau, r_bar, cutoff, separated)
+    even, d_even, odd, d_odd = _integrate(tau, 0.0, cutoff, local)
     even, odd = tau * even - d_even, tau * odd - d_odd
     turn = np.exp(1j * tau)
     pair = -0.5 * turn * (turn.imag * f.real - turn.real * sin_re)
@@ -261,7 +240,7 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
     live = tau > 0.0
     unit = [np.zeros(tau.shape, t) for t in (complex, float, complex, float, float)]
     if live.any():
-        for out, value in zip(unit, _unit_integrals(tau[live], p.r_bar, p.cutoff, p.quad_points)):
+        for out, value in zip(unit, _unit_integrals(tau[live], p.r_bar, p.cutoff)):
             out[live] = value
     ex, re_a, pair, u2, v2 = unit
     g2 = u2 * v2 + np.abs(pair) ** 2 if p.include_two_photon else np.zeros(tau.shape)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .amplitudes import (
     DEFAULT_CUTOFF,
-    DEFAULT_QUAD_POINTS,
     ModelParams,
     OutOfRegimeError,
     PerturbativeAmplitudes,
@@ -265,8 +264,6 @@ def _add_model_args(sub):
                      help="qubit separation in units of v/Omega (default: pi/4)")
     sub.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
                      help="UV cutoff omega_c/Omega (default: %(default)s)")
-    sub.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
-                     help="time-quadrature node budget (default: %(default)s)")
     sub.add_argument("--two-photon", action=argparse.BooleanOptionalAction, default=True,
                      help="include the two-photon sector weight")
 
@@ -284,7 +281,6 @@ def _model_params(args, coupling: float) -> ModelParams:
         r_bar=args.r_bar,
         coupling=coupling,
         cutoff=args.cutoff,
-        quad_points=args.quad_points,
         include_two_photon=args.two_photon,
     )
 

@@ -4,8 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from fermicorr import ModelParams, PerturbativeAmplitudes, XStateCoefficients
+from fermicorr import ModelParams, PerturbativeAmplitudes, XStateCoefficients, amplitudes
 from fermicorr.states import IDENTITY_2, PAULI, state_from_json
 from fermicorr.cli import (
     AMPLITUDE_NAMES,
@@ -38,6 +39,11 @@ def default_sweep():
     rows = sweep_rows(run_sweep(spec))
     elapsed = time.perf_counter() - start
     return {"spec": spec, "rows": rows, "elapsed": elapsed}
+
+
+def double_panel_order(monkeypatch):
+    """Give every quadrature panel twice its Gauss-Legendre nodes from now on."""
+    monkeypatch.setattr(amplitudes, "_GAUSS", leggauss(2 * amplitudes._GAUSS[0].size))
 
 
 def sweep_rows(columns):

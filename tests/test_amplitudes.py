@@ -19,14 +19,14 @@ from fermicorr import (
 from fermicorr.cli import SWEEP_HEADER
 from fermicorr.oracles import mode_sum_amplitudes
 
+from conftest import double_panel_order
+
 R_BAR = math.pi / 4.0
 
 
-def params(coupling=0.04, cutoff=300.0, quad_points=256, two_photon=True):
-    return ModelParams(
-        r_bar=R_BAR, coupling=coupling, cutoff=cutoff,
-        quad_points=quad_points, include_two_photon=two_photon,
-    )
+def params(coupling=0.04, cutoff=300.0, two_photon=True):
+    return ModelParams(r_bar=R_BAR, coupling=coupling, cutoff=cutoff,
+                       include_two_photon=two_photon)
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +77,11 @@ def test_exchange_rejects_negative_time():
             compute_amplitudes(params(), xi)
 
 
-def test_exchange_quadrature_refinement():
-    p256 = params(coupling=0.1, cutoff=50.0, quad_points=256)
-    p512 = params(coupling=0.1, cutoff=50.0, quad_points=512)
-    a = compute_amplitudes(p256, 2.0).exchange
-    b = compute_amplitudes(p512, 2.0).exchange
+def test_exchange_quadrature_refinement(monkeypatch):
+    p = params(coupling=0.1, cutoff=50.0)
+    a = compute_amplitudes(p, 2.0).exchange
+    double_panel_order(monkeypatch)
+    b = compute_amplitudes(p, 2.0).exchange
     assert abs(a - b) / abs(b) < 1e-5
 
 
@@ -324,8 +324,6 @@ def test_model_params_validation():
         ModelParams(r_bar=1.0, coupling=-0.1)
     with pytest.raises(ValueError, match="cutoff"):
         ModelParams(r_bar=1.0, coupling=0.1, cutoff=5.0)
-    with pytest.raises(ValueError, match="quad_points"):
-        ModelParams(r_bar=1.0, coupling=0.1, quad_points=8)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="r_bar"):
             ModelParams(r_bar=bad, coupling=0.1)
