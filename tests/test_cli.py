@@ -295,7 +295,7 @@ def test_sweep_cli_smoke(tmp_path):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--xi-steps", "nope"]) == 1
     assert main(["no-such-command"]) == 1
-    for command in ("sweep", "state", "figures"):  # the node budget option is gone
+    for command in ("sweep", "state", "figures"):  # the quadrature takes no node count
         assert main([command, "--quad-points", "256"]) == 1
     capsys.readouterr()
 
