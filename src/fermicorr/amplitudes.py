@@ -9,10 +9,10 @@ exponential mode regularization exp(-k/omega_c).
 All five amplitudes are double-time integrals of the regularized two-point
 function, reduced exactly to the time difference and evaluated with one
 composite Gauss-Legendre rule graded geometrically toward the eps-wide
-light-cone peak. Every panel takes the same 24 nodes, and since each panel
-lies about one width from the pole, the accuracy of the rule does not depend
-on the cutoff. The mode-sum evaluation of the emission weights and the pair
-coherence lives in :mod:`fermicorr.oracles` as an independent check.
+light-cone peak, with capped widths far from it. Every panel takes 24 nodes;
+each lies about one width from the pole, so the rule's accuracy does not
+depend on the cutoff. The mode-sum evaluation of the emission weights and the
+pair coherence lives in :mod:`fermicorr.oracles` as an independent check.
 
 A whole xi grid is evaluated in one pass. The integrands are split into
 node moments that do not depend on xi, the graded panels of the grid are
@@ -35,8 +35,10 @@ from .states import POSITIVITY_ATOL, unwrap_scalar
 
 DEFAULT_CUTOFF = 300.0
 
-# Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k.
+# Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k,
+# and each is at most _PANEL_CAP wide, about a third of the period of cos(d).
 _PANEL_GROWTH = 4.0
+_PANEL_CAP = 2.0
 # Gauss-Legendre nodes and weights of every panel.
 _GAUSS = leggauss(24)
 # Time-difference nodes per two_point evaluation: a default sweep takes a few
@@ -138,10 +140,12 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, moments):
     The two-point function peaks in an eps-wide window at ``pole`` (the
     light-cone separation, or 0 for the equal-position kernel). With the pole
     first clipped into [0, tau], panels end at the pole and at
-    pole +- eps*4**k, so their widths grow geometrically away from the peak.
+    pole +- eps*4**k, so their widths grow geometrically away from the peak,
+    until they reach _PANEL_CAP; from there on each offset grows by the cap.
     Each panel then sits about one width from the complex pole of the
-    integrand, so one Gauss order, _GAUSS, converges at the same rate on every
-    panel and at any cutoff. The cuts are shared by every tau with the same
+    integrand and spans at most about a third of the period of cos(d), so one Gauss
+    order, _GAUSS, converges at the same rate on every panel, at any cutoff
+    and at late times. The cuts are shared by every tau with the same
     panel count, so each distinct panel (bitwise the same bounds) is evaluated
     once, _BLOCK_NODES nodes at a time as a (panels, order) array, and each tau
     adds up the sums of its own panels in panel order. Returns one array of
@@ -151,7 +155,7 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, moments):
     pole = np.minimum(np.maximum(pole, 0.0), tau)
     steps, longest = [eps], np.maximum(pole, tau - pole).max()
     while steps[-1] < longest:
-        steps.append(steps[-1] * _PANEL_GROWTH)
+        steps.append(min(steps[-1] * _PANEL_GROWTH, steps[-1] + _PANEL_CAP))
     steps = np.array(steps)
     below, above = pole[:, None] - steps, pole[:, None] + steps
     cuts = np.column_stack((np.zeros_like(tau), pole, tau, np.where(below > 0.0, below, np.inf),

@@ -129,7 +129,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     unit = compute_amplitudes(spec.params, spec.xi_grid()[:, None])
     amps = unit.scaled(np.array(sorted(spec.couplings)))
     coeffs, _ = assemble(amps)
-    rep = report(coeffs, amps)
+    rep = report(coeffs)
     columns = {**amplitude_fields(amps), "K": amps.coupling, "r_bar": spec.params.r_bar,
                "cutoff": spec.params.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
                "negativity": rep.negativity, "conn_corr": rep.connected_corr,
@@ -167,12 +167,12 @@ def state_dump(params: ModelParams, xi: float) -> dict:
 
 
 def oracle_check(count: int, seed: int, grid: DirectionGrid) -> dict:
-    """Compare every closed-form measure against its brute-force oracle.
+    """Compare the generic measures and bell_opt with brute-force oracles.
 
-    Runs `count` random mixed states through the discord, connected
-    correlation and negativity comparisons and `count` random X-shaped
-    states through the Bell comparison; reports per-measure maximum
-    deviations against the documented tolerances.
+    Runs `count` random mixed states through the generic discord, connected
+    correlation and negativity and `count` random X-shaped states through
+    bell_opt (no other closed form is compared); reports per-measure
+    maximum deviations against the documented tolerances.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -1,10 +1,10 @@
 """Correlation measures: geometric discord, negativity, connected correlation,
 Bell parameters, and their closed forms for the perturbative X-state.
 
-Generic measures take a 4x4 density matrix; the closed forms consume raw
-(unnormalized) amplitudes, and the Bell parameters consume coefficients that
-they normalize by c internally. The closed forms and the Bell parameters
-take scalars or arrays over a stack of points, and return the same.
+Generic measures take a 4x4 density matrix. The X-state closed forms and the
+Bell parameters take what ``assemble`` returns, XStateCoefficients: the closed
+forms read the unnormalized entries, the Bell parameters normalize them by c.
+Both take scalars or arrays over a stack of points, and return the same.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import PerturbativeAmplitudes, XStateCoefficients
+from .amplitudes import XStateCoefficients
 from .states import decompose, partial_transpose, unwrap_scalar, validate_state
 
 BELL_CLASSICAL = 2.0
@@ -59,31 +59,31 @@ def connected_correlation(rho: np.ndarray) -> float:
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def sqrt_discord_xstate(amps: PerturbativeAmplitudes) -> float:
-    """Second-order closed form of the square-root geometric discord:
-    sqrt([Re pair]^2 + |exchange|^2)."""
-    return unwrap_scalar(np.hypot(np.real(amps.pair_coherence), np.abs(amps.exchange)))
+def sqrt_discord_xstate(coeffs: XStateCoefficients) -> float:
+    """Second-order closed form of the square-root geometric discord on the
+    unnormalized coefficients: sqrt((Re rho14)^2 + |rho23|^2)."""
+    return unwrap_scalar(np.hypot(np.real(coeffs.rho14), np.abs(coeffs.rho23)))
 
 
-def negativity_xstate(amps: PerturbativeAmplitudes) -> float:
-    """Second-order closed form of the negativity:
-    max{0, sqrt((u2 - v2)^2 + 4|exchange|^2) - u2 - v2}, positive exactly
-    where the exchange dominates the emission weights, |exchange|^2 > u2*v2."""
-    root = np.hypot(amps.u2 - amps.v2, 2.0 * np.abs(amps.exchange))
-    return unwrap_scalar(np.maximum(0.0, root - amps.u2 - amps.v2))
+def negativity_xstate(coeffs: XStateCoefficients) -> float:
+    """Second-order closed form of the negativity on unnormalized coefficients:
+    max{0, sqrt((rho44 - rho11)^2 + 4|rho23|^2) - rho44 - rho11}, positive
+    exactly where exchange dominates emission, |rho23|^2 > rho11 rho44."""
+    root = np.hypot(coeffs.rho44 - coeffs.rho11, 2.0 * np.abs(coeffs.rho23))
+    return unwrap_scalar(np.maximum(0.0, root - coeffs.rho44 - coeffs.rho11))
 
 
-def connected_correlation_xstate(amps: PerturbativeAmplitudes) -> float:
-    """Second-order closed form of the maximum connected correlation:
-    max{4(|exchange|^2 + |pair|^2), 2(|exchange| + |pair|)}.
+def connected_correlation_xstate(coeffs: XStateCoefficients) -> float:
+    """Second-order closed form of the maximum connected correlation on
+    unnormalized coefficients: max{4(|rho23|^2 + |rho14|^2), 2(|rho23| + |rho14|)}.
 
     W = T - x y^T of the X-state is block diagonal. Its equatorial singular
     values are 2(|rho14| +- |rho23|)/c, and its longitudinal entry is
-    W_zz = 4(rho11 rho44 - rho22 rho33)/c^2, whose u2*v2 parts cancel
-    against g2 to leave -4(|exchange|^2 + |pair|^2) at O(K^2). The first
+    W_zz = 4(rho11 rho44 - rho22 rho33)/c^2, whose rho11 rho44 cancels against
+    that part of rho33 to leave -4(|rho23|^2 + |rho14|^2) at O(K^2). The first
     branch is that longitudinal magnitude; the O(K) equatorial branch
     carries the signal."""
-    x, pair = np.abs(amps.exchange), np.abs(amps.pair_coherence)
+    x, pair = np.abs(coeffs.rho23), np.abs(coeffs.rho14)
     return unwrap_scalar(np.maximum(4.0 * (x * x + pair * pair), 2.0 * (x + pair)))
 
 
@@ -116,17 +116,17 @@ def bell_opt(coeffs: XStateCoefficients) -> float:
     return unwrap_scalar(2.0 * np.sqrt(u1 + np.maximum(u2, u3)))
 
 
-def report(coeffs: XStateCoefficients, amps: PerturbativeAmplitudes) -> CorrelationReport:
+def report(coeffs: XStateCoefficients) -> CorrelationReport:
     """Aggregate all quantifiers of one sweep point, or of a stack of them
     (then every field is an array), from the X-state closed forms.
 
-    The inputs are :func:`~fermicorr.amplitudes.assemble`'s coefficients and
-    the amplitudes it assembled; ``assemble`` has already rejected every
-    point whose state is not positive semidefinite.
+    The input is :func:`~fermicorr.amplitudes.assemble`'s coefficients;
+    ``assemble`` has already rejected every point whose state is not
+    positive semidefinite.
     """
-    sd = sqrt_discord_xstate(amps)
-    n = negativity_xstate(amps)
-    c = connected_correlation_xstate(amps)
+    sd = sqrt_discord_xstate(coeffs)
+    n = negativity_xstate(coeffs)
+    c = connected_correlation_xstate(coeffs)
     ok = (c >= sd - HIERARCHY_TOL) & (sd >= n - HIERARCHY_TOL)
     return CorrelationReport(
         sqrt_discord=sd,

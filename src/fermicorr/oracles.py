@@ -28,8 +28,8 @@ Every objective is even in each measurement axis (a projective measurement
 along -n is the one along n, and the covariance and CHSH value change sign
 in pairs or not at all), so the coarse search runs on the antipodal half of
 the grid: the first half of the theta-major ``DirectionGrid.directions()``,
-which holds one direction of every antipodal pair when ``azimuth_steps`` is
-even. Discord searches n on it, the connected correlation n (not n'), and
+which holds one direction of every antipodal pair because ``azimuth_steps``
+is even. Discord searches n on it, the connected correlation n (not n'), and
 CHSH both b and b'.
 
 The amplitude oracle sums the emission weights and the pair coherence over
@@ -84,8 +84,8 @@ class DirectionGrid:
     def __post_init__(self):
         if self.polar_steps < 24:
             raise ValueError(f"polar_steps must be >= 24, got {self.polar_steps}")
-        if self.azimuth_steps < 48:
-            raise ValueError(f"azimuth_steps must be >= 48, got {self.azimuth_steps}")
+        if self.azimuth_steps < 48 or self.azimuth_steps % 2:
+            raise ValueError(f"azimuth_steps must be even and >= 48, got {self.azimuth_steps}")
 
     def directions(self) -> np.ndarray:
         """Coarse unit-vector grid; the exact poles are included."""
@@ -147,8 +147,8 @@ def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0):
 def _antipodal_half(dirs: np.ndarray) -> np.ndarray:
     """First half of a theta-major direction grid: the polar rows from the
     north pole down, plus half of the equator row when the row count is odd.
-    With an even azimuth count it holds one direction of every antipodal
-    pair of the grid."""
+    With the even azimuth count of a DirectionGrid it holds one direction of
+    every antipodal pair of the grid."""
     return dirs[: len(dirs) // 2]
 
 

@@ -64,6 +64,15 @@ def bell_projector():
     return rho
 
 
+def coeffs_from_state(rho):
+    """X-state coefficients read off a normalized X-patterned matrix."""
+    return XStateCoefficients(
+        rho11=rho[0, 0].real, rho22=rho[1, 1].real,
+        rho33=rho[2, 2].real, rho44=rho[3, 3].real,
+        rho14=complex(rho[0, 3]), rho23=complex(rho[1, 2]), c=1.0,
+    )
+
+
 def reconstruct(b):
     """Rebuild the 4x4 matrix from a Bloch decomposition.
 

@@ -122,8 +122,8 @@ def test_criterion_05_spacelike_correlations():
     amps = compute_amplitudes(p, np.array([0.5, 1.0]))
     coeffs, _ = assemble(amps)
     margin = coeffs.rho22.min()
-    sd_half, sd_cone = sqrt_discord_xstate(amps)
-    neg_half = negativity_xstate(amps)[0]
+    sd_half, sd_cone = sqrt_discord_xstate(coeffs)
+    neg_half = negativity_xstate(coeffs)[0]
     ok = margin > 0.5 and sd_half >= 1e-3 * sd_cone and neg_half == 0.0
     _verdict(5, "space-like correlations", ok,
              f"K={p.coupling}, min(1+2reA)={margin:.3f}, "
@@ -170,9 +170,9 @@ def test_criterion_06_entanglement_onset(default_sweep):
         margins[coupling] = min(1.0 + 2.0 * r["re_A"] for r in block)
         amps = compute_amplitudes(ModelParams(r_bar=ONSET_R_BAR, coupling=coupling),
                                   np.array([r["xi"] for r in block[::10]]))
-        _, rho = assemble(amps)
+        coeffs, rho = assemble(amps)
         generic = np.array([negativity(m) for m in rho])
-        generic_agree &= np.array_equal(generic > NEGATIVITY_NOISE, negativity_xstate(amps) > 0.0)
+        generic_agree &= np.array_equal(generic > NEGATIVITY_NOISE, negativity_xstate(coeffs) > 0.0)
     ok = (default_agree and onset_agree and generic_agree and min(margins.values()) > 0.0
           and None not in onsets.values())
     detail = "; ".join(

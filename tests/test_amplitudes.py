@@ -85,6 +85,19 @@ def test_exchange_quadrature_refinement(monkeypatch):
     assert abs(a - b) / abs(b) < 1e-5
 
 
+def test_far_panels_converge_at_late_times(monkeypatch):
+    # panels far from the pole stop growing at a fixed width, so the
+    # oscillating factors stay resolved however late the time
+    p = ModelParams(r_bar=5.0, coupling=0.0005)
+    xi = np.array([30.0, 40.0])
+    a = compute_amplitudes(p, xi)
+    double_panel_order(monkeypatch)
+    b = compute_amplitudes(p, xi)
+    for name in ("re_a", "exchange", "u2", "v2", "pair_coherence"):
+        gap, size = np.abs(getattr(a, name) - getattr(b, name)), np.abs(getattr(b, name))
+        assert np.all(gap <= 1e-9 * size), (name, gap / size)
+
+
 def _tensor_gauss_amplitudes(p, xi, n):
     """Independent oracle: plain 2D tensor-product Gauss-Legendre on [0,tau]^2.
 

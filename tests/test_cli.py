@@ -2,6 +2,9 @@
 exit codes and output determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -179,7 +182,7 @@ def test_sweep_rows_match_point_route():
             for xi in spec.xi_grid():
                 amps = compute_amplitudes(p, float(xi))
                 coeffs, _ = assemble(amps)
-                rep = report(coeffs, amps)
+                rep = report(coeffs)
                 expected = {
                     **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
                     "c": coeffs.c, "sqrtD": rep.sqrt_discord, "negativity": rep.negativity,
@@ -292,6 +295,24 @@ def test_sweep_cli_smoke(tmp_path):
     assert len(lines) == 6
 
 
+def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
+    # a fresh interpreter, since any earlier test may have imported them; the
+    # panel dedup avoids np.unique, which imports numpy.ma, and only
+    # random_state needs numpy.random
+    code = (
+        "import sys\n"
+        "from fermicorr.cli import main\n"
+        f"assert main(['sweep', '--xi-steps', '41', '--out', {str(tmp_path / 'a.csv')!r}]) == 0\n"
+        f"assert main(['state', '--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
+        "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--xi-steps", "nope"]) == 1
     assert main(["no-such-command"]) == 1
@@ -319,12 +340,14 @@ def test_state_dump_roundtrip_and_consistency():
     # definitional identity of the normalization
     total = coeffs.rho11 + coeffs.rho22 + coeffs.rho33 + coeffs.rho44
     assert abs(coeffs.c - total) < 1e-15
-    # re-evaluated measures match the direct pipeline
-    direct = compute_amplitudes(p, 1.5)
-    assert abs(sqrt_discord_xstate(amps) - sqrt_discord_xstate(direct)) < 1e-12
-    assert abs(negativity_xstate(amps) - negativity_xstate(direct)) < 1e-12
-    assert abs(connected_correlation_xstate(amps) - connected_correlation_xstate(direct)) < 1e-12
-    assert abs(bell_chsh(coeffs) - bell_chsh(coeffs)) == 0.0
+    # the amplitudes survive the dump exactly; re-evaluated measures match
+    # the direct pipeline
+    assert amps == compute_amplitudes(p, 1.5)
+    direct, _ = assemble(amps)
+    assert abs(sqrt_discord_xstate(coeffs) - sqrt_discord_xstate(direct)) < 1e-12
+    assert abs(negativity_xstate(coeffs) - negativity_xstate(direct)) < 1e-12
+    assert abs(connected_correlation_xstate(coeffs) - connected_correlation_xstate(direct)) < 1e-12
+    assert abs(bell_chsh(coeffs) - bell_chsh(direct)) == 0.0
 
 
 def test_state_cli_exit_codes(capsys):
@@ -459,6 +482,6 @@ def test_pre_light_cone_signal():
     amps = compute_amplitudes(p, np.append(np.linspace(0.25, 0.85, 13), 1.0))
     coeffs, _ = assemble(amps)
     assert coeffs.rho22.min() > 0.5
-    sd, cc = sqrt_discord_xstate(amps), connected_correlation_xstate(amps)
+    sd, cc = sqrt_discord_xstate(coeffs), connected_correlation_xstate(coeffs)
     assert sd[:-1].max() >= 1e-3 * sd[-1]
     assert cc[:-1].max() >= 1e-3 * cc[-1]

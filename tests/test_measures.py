@@ -8,7 +8,6 @@ import pytest
 from fermicorr import (
     BELL_TSIRELSON,
     ModelParams,
-    PerturbativeAmplitudes,
     XStateCoefficients,
     assemble,
     bell_chsh,
@@ -28,7 +27,7 @@ from fermicorr import (
     states,
 )
 
-from conftest import bell_projector
+from conftest import bell_projector, coeffs_from_state
 
 R_BAR = math.pi / 4.0
 
@@ -41,20 +40,11 @@ def product_state(seed=0):
     return np.outer(v, v.conj())
 
 
-def make_amps(re_a=0.0, exchange=0.0j, u2=0.0, v2=0.0, pair=0.0j, g2=0.0):
-    return PerturbativeAmplitudes(
-        xi=1.0, re_a=re_a, exchange=exchange, u2=u2, v2=v2,
-        pair_coherence=pair, g2=g2, two_photon_enabled=True, coupling=0.04,
-    )
-
-
-def coeffs_from_state(rho):
-    """X-state coefficients read off a normalized X-patterned matrix."""
-    return XStateCoefficients(
-        rho11=rho[0, 0].real, rho22=rho[1, 1].real,
-        rho33=rho[2, 2].real, rho44=rho[3, 3].real,
-        rho14=complex(rho[0, 3]), rho23=complex(rho[1, 2]), c=1.0,
-    )
+def make_coeffs(rho11=0.0, rho22=1.0, rho33=0.0, rho44=0.0, rho14=0.0j, rho23=0.0j):
+    """Unnormalized X-state coefficients with their sum c; the defaults are
+    the initial state |eg>. Entries may be arrays over a stack of states."""
+    return XStateCoefficients(rho11=rho11, rho22=rho22, rho33=rho33, rho44=rho44,
+                              rho14=rho14, rho23=rho23, c=rho11 + rho22 + rho33 + rho44)
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +66,9 @@ def test_discord_classically_correlated():
 
 
 def test_sqrt_discord_xstate_examples():
-    assert sqrt_discord_xstate(make_amps()) == 0.0
-    assert sqrt_discord_xstate(make_amps(pair=0.01 + 0.0j)) == pytest.approx(0.01)
-    assert sqrt_discord_xstate(make_amps(exchange=0.03j, pair=0.04 + 0.7j)) == pytest.approx(0.05)
+    assert sqrt_discord_xstate(make_coeffs()) == 0.0
+    assert sqrt_discord_xstate(make_coeffs(rho14=0.01 + 0.0j)) == pytest.approx(0.01)
+    assert sqrt_discord_xstate(make_coeffs(rho23=-0.03j, rho14=0.04 - 0.7j)) == pytest.approx(0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +95,22 @@ def test_negativity_werner_state():
 
 
 def test_negativity_xstate_examples():
-    assert negativity_xstate(make_amps(exchange=0.01 + 0.0j)) == pytest.approx(0.02)
-    # threshold case |X|^2 = u2 v2 gives exactly zero
-    amps = make_amps(exchange=math.sqrt(0.02 * 0.005) + 0.0j, u2=0.02, v2=0.005)
-    assert negativity_xstate(amps) == pytest.approx(0.0, abs=1e-15)
-    amps = make_amps(exchange=0.02 + 0.0j, u2=0.01, v2=0.01)
-    assert negativity_xstate(amps) == pytest.approx(math.sqrt(0.0016) - 0.02)
+    assert negativity_xstate(make_coeffs(rho23=0.01 + 0.0j)) == pytest.approx(0.02)
+    # threshold case |rho23|^2 = rho11 rho44 gives exactly zero
+    co = make_coeffs(rho23=math.sqrt(0.02 * 0.005) + 0.0j, rho44=0.02, rho11=0.005)
+    assert negativity_xstate(co) == pytest.approx(0.0, abs=1e-15)
+    co = make_coeffs(rho23=0.02 + 0.0j, rho44=0.01, rho11=0.01)
+    assert negativity_xstate(co) == pytest.approx(math.sqrt(0.0016) - 0.02)
 
 
 def test_entanglement_onset_agrees_with_negativity():
     # the closed form leaves zero exactly where exchange dominates the
-    # emission weights, |X|^2 > u2 v2
+    # emission weights, |rho23|^2 > rho11 rho44, on one stack of 10^4 states
     rng = np.random.default_rng(11)
-    for _ in range(10_000):
-        u2, v2, x = rng.uniform(0.0, 0.1, size=3)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        amps = make_amps(exchange=x * phase, u2=u2, v2=v2)
-        assert (abs(amps.exchange) ** 2 > u2 * v2) == (negativity_xstate(amps) > 0.0)
+    u2, v2, x = rng.uniform(0.0, 0.1, size=(3, 10_000))
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=x.size))
+    co = make_coeffs(rho23=x * phase, rho44=u2, rho11=v2)
+    assert np.array_equal(np.abs(co.rho23) ** 2 > u2 * v2, negativity_xstate(co) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +135,17 @@ def test_connected_correlation_classical_mixture():
 
 
 def test_connected_correlation_xstate_examples():
-    assert connected_correlation_xstate(make_amps()) == 0.0
-    amps = make_amps(re_a=-0.02, exchange=0.01 + 0.0j, u2=0.01, v2=0.01, pair=0.005 + 0.0j)
-    assert connected_correlation_xstate(amps) == pytest.approx(0.03)
+    assert connected_correlation_xstate(make_coeffs()) == 0.0
+    co = make_coeffs(rho23=0.01 + 0.0j, rho44=0.01, rho11=0.01, rho14=0.005 + 0.0j)
+    assert connected_correlation_xstate(co) == pytest.approx(0.03)
 
 
 # ---------------------------------------------------------------------------
 # Bell parameters
 # ---------------------------------------------------------------------------
 
-def initial_coeffs():
-    return XStateCoefficients(
-        rho11=0.0, rho22=1.0, rho33=0.0, rho44=0.0, rho14=0.0j, rho23=0.0j, c=1.0
-    )
-
-
 def test_bell_chsh_initial_state():
-    assert bell_chsh(initial_coeffs()) == pytest.approx(math.sqrt(2.0))
+    assert bell_chsh(make_coeffs()) == pytest.approx(math.sqrt(2.0))
 
 
 def test_bell_chsh_bell_projector():
@@ -176,7 +159,7 @@ def test_bell_opt_bell_projector():
 
 
 def test_bell_opt_initial_state():
-    assert bell_opt(initial_coeffs()) == pytest.approx(2.0)
+    assert bell_opt(make_coeffs()) == pytest.approx(2.0)
 
 
 def test_bell_opt_dominates_chsh_on_random_xstates():
@@ -201,31 +184,26 @@ def test_closed_forms_take_arrays():
     xis = np.linspace(0.0, 2.0, 9)
     stack = compute_amplitudes(p, xis)
     coeffs, rho = assemble(stack)
-    rep = report(coeffs, stack)
+    rep = report(coeffs)
     assert rho.shape == (9, 4, 4)
     for i, xi in enumerate(xis):
         amps = compute_amplitudes(p, float(xi))
         co, _ = assemble(amps)
-        for fn, one, many in (
-            (sqrt_discord_xstate, amps, stack),
-            (negativity_xstate, amps, stack),
-            (connected_correlation_xstate, amps, stack),
-            (bell_chsh, co, coeffs),
-            (bell_opt, co, coeffs),
-        ):
-            value = fn(one)
+        for fn in (sqrt_discord_xstate, negativity_xstate, connected_correlation_xstate,
+                   bell_chsh, bell_opt):
+            value = fn(co)
             assert type(value) is float
-            assert fn(many)[i] == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert fn(coeffs)[i] == pytest.approx(value, rel=1e-12, abs=0.0)
         # the negativity turns on exactly where |X|^2 > u2 v2
         onset = abs(amps.exchange) ** 2 > amps.u2 * amps.v2
-        assert (negativity_xstate(stack)[i] > 0.0) == onset
-        assert rep.hierarchy_ok[i] == report(co, amps).hierarchy_ok
+        assert (negativity_xstate(coeffs)[i] > 0.0) == onset
+        assert rep.hierarchy_ok[i] == report(co).hierarchy_ok
 
 def test_report_initial_point():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     amps = compute_amplitudes(p, 0.0)
     coeffs, _ = assemble(amps)
-    rep = report(coeffs, amps)
+    rep = report(coeffs)
     assert rep.sqrt_discord == 0.0
     assert rep.negativity == 0.0
     assert rep.connected_corr == 0.0
@@ -305,12 +283,12 @@ def test_generic_measures_validate_once(monkeypatch):
 def _closed_vs_generic(coupling, xi):
     p = ModelParams(r_bar=R_BAR, coupling=coupling)
     amps = compute_amplitudes(p, xi)
-    _, rho = assemble(amps)
+    coeffs, rho = assemble(amps)
     b = decompose(rho)
     w = b.t - np.outer(b.x, b.y)
     equatorial = 2.0 * (abs(amps.exchange) + abs(amps.pair_coherence))
     return {
-        "negativity": abs(negativity_xstate(amps) - negativity(rho)),
+        "negativity": abs(negativity_xstate(coeffs) - negativity(rho)),
         # the generic maximum is either the coherence (equatorial) branch the
         # closed form keeps or the longitudinal covariance it truncates away
         "two_branch": abs(connected_correlation(rho) - max(equatorial, abs(w[2, 2]))),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fermicorr import (
     DirectionGrid,
-    XStateCoefficients,
     bell_opt,
     chsh_gridopt,
     connected_correlation,
@@ -31,7 +30,7 @@ from fermicorr.oracles import (
 )
 from fermicorr.states import IDENTITY_2, PAULI
 
-from conftest import bell_projector
+from conftest import bell_projector, coeffs_from_state
 
 GRID = DirectionGrid()
 
@@ -61,6 +60,10 @@ def test_direction_grid_validation():
         DirectionGrid(polar_steps=8)
     with pytest.raises(ValueError, match="azimuth_steps"):
         DirectionGrid(azimuth_steps=16)
+    # an odd azimuth count leaves far-half directions without an antipode
+    # in the searched half
+    with pytest.raises(ValueError, match="azimuth_steps must be even"):
+        DirectionGrid(azimuth_steps=49)
 
 
 def test_direction_grid_includes_poles():
@@ -136,13 +139,8 @@ def test_chsh_gridopt_product_state():
 def test_chsh_gridopt_matches_bell_opt():
     for seed in range(30):
         rho = random_state(seed, "xshape")
-        co = XStateCoefficients(
-            rho11=rho[0, 0].real, rho22=rho[1, 1].real,
-            rho33=rho[2, 2].real, rho44=rho[3, 3].real,
-            rho14=complex(rho[0, 3]), rho23=complex(rho[1, 2]), c=1.0,
-        )
         value = chsh_gridopt(rho, GRID)
-        assert abs(value - bell_opt(co)) < 1e-5
+        assert abs(value - bell_opt(coeffs_from_state(rho))) < 1e-5
         assert value <= 2.0 * math.sqrt(2.0) + 1e-6
 
 
