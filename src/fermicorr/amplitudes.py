@@ -58,7 +58,6 @@ class ModelParams:
     r_bar: float
     coupling: float
     cutoff: float = DEFAULT_CUTOFF
-    include_two_photon: bool = True
 
     def __post_init__(self):
         if not 0 < self.r_bar < math.inf:
@@ -82,7 +81,7 @@ class PerturbativeAmplitudes:
                     (counter-rotating) of the single-photon sector
     pair_coherence  vacuum matrix element raising both qubits at once; its
                     conjugate fills the ee-gg coherence
-    g2              two-photon sector weight (0 when disabled)
+    g2              two-photon sector weight
     coupling        the coupling K the amplitudes are scaled to
     """
 
@@ -93,7 +92,6 @@ class PerturbativeAmplitudes:
     v2: float
     pair_coherence: complex
     g2: float
-    two_photon_enabled: bool
     coupling: float
 
     def scaled(self, factor):
@@ -233,8 +231,7 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
     2K int_0^inf k e^{-k/cutoff} sin^2((k -+ 1) tau/2) / (k -+ 1)^2 dk.
     The mode-resolved two-photon amplitude factorizes into the product of
     single-photon emission amplitudes plus an interference term equal to the
-    squared pair coherence, so g2 = u2*v2 + |L|^2; it is 0, flagged as
-    disabled, when the params switch it off.
+    squared pair coherence, so g2 = u2*v2 + |L|^2.
     """
     xi = np.asarray(xi, dtype=float)
     bad = xi[~(np.isfinite(xi) & (xi >= 0))]
@@ -247,9 +244,9 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
         for out, value in zip(unit, _unit_integrals(tau[live], p.r_bar, p.cutoff)):
             out[live] = value
     ex, re_a, pair, u2, v2 = unit
-    g2 = u2 * v2 + np.abs(pair) ** 2 if p.include_two_photon else np.zeros(tau.shape)
+    g2 = u2 * v2 + np.abs(pair) ** 2
     values = (unwrap_scalar(a.reshape(xi.shape)) for a in (xi, re_a, ex, u2, v2, pair, g2))
-    amps = PerturbativeAmplitudes(*values, p.include_two_photon, coupling=1.0)
+    amps = PerturbativeAmplitudes(*values, coupling=1.0)
     return amps.scaled(p.coupling)
 
 

@@ -56,7 +56,7 @@ SWEEP_HEADER = (
 # no entry: the CSV writes it as K, the state JSON keeps it in its params.
 AMPLITUDE_NAMES = {
     "xi": "xi", "re_a": "re_A", "exchange": ("re_X", "im_X"), "u2": "u2", "v2": "v2",
-    "pair_coherence": ("re_L", "im_L"), "g2": "g2", "two_photon_enabled": "two_photon_enabled",
+    "pair_coherence": ("re_L", "im_L"), "g2": "g2",
 }
 
 # Rows formatted per write, so the text of a long sweep is never all in memory.
@@ -95,6 +95,8 @@ class SweepSpec:
             raise ValueError("couplings must be non-empty")
         if not all(0.0 <= k < math.inf for k in self.couplings):
             raise ValueError(f"couplings must all be finite and >= 0, got {self.couplings}")
+        if len(set(self.couplings)) < len(self.couplings):
+            raise ValueError(f"couplings must be distinct, got {self.couplings}")
         if self.params.coupling != 1.0:
             raise ValueError(f"params must be at unit coupling, got {self.params.coupling}")
 
@@ -214,12 +216,13 @@ def figures(out_dir: str, spec: SweepSpec) -> list[str]:
     creating it if needed.
 
     fig1: the three correlation measures vs xi for the given couplings.
-    fig4: the same measures on a denser coupling grid (surface data).
+    fig4: the same measures on nine evenly spaced couplings from the smallest
+    to the largest given one, each once (surface data).
     fig5: both Bell parameters vs xi plus the classical threshold column.
     One sweep over both coupling sets gives the rows of all three.
     """
-    dense = np.linspace(min(spec.couplings), max(spec.couplings), 9).tolist()
-    union = sorted(set(spec.couplings) | set(dense))
+    dense = set(np.linspace(min(spec.couplings), max(spec.couplings), 9).tolist())
+    union = sorted(set(spec.couplings) | dense)
     swept = run_sweep(replace(spec, couplings=tuple(union)))
 
     def rows(couplings):
@@ -264,8 +267,6 @@ def _add_model_args(sub):
                      help="qubit separation in units of v/Omega (default: pi/4)")
     sub.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
                      help="UV cutoff omega_c/Omega (default: %(default)s)")
-    sub.add_argument("--two-photon", action=argparse.BooleanOptionalAction, default=True,
-                     help="include the two-photon sector weight")
 
 
 def _add_grid_args(sub):
@@ -277,12 +278,7 @@ def _add_grid_args(sub):
 
 
 def _model_params(args, coupling: float) -> ModelParams:
-    return ModelParams(
-        r_bar=args.r_bar,
-        coupling=coupling,
-        cutoff=args.cutoff,
-        include_two_photon=args.two_photon,
-    )
+    return ModelParams(r_bar=args.r_bar, coupling=coupling, cutoff=args.cutoff)
 
 
 def _sweep_spec(args) -> SweepSpec:

@@ -327,3 +327,24 @@ def test_criterion_10_measurement_direction_switch():
     )
     _verdict(10, "measurement axes", ok, detail)
     assert ok, detail
+
+
+def test_criterion_11_micro_causality():
+    """The exchange splits into re_X, carried by the anticommutator (vacuum
+    fluctuations), and im_X, carried by the field commutator (the retarded
+    signal). Before the light cone im_X is a regularization leak of order
+    1/cutoff; after it, im_X converges as the cutoff grows."""
+    cutoffs = np.array((300.0, 1000.0, 3000.0, 1e4))
+    im_x = np.array([
+        compute_amplitudes(ModelParams(r_bar=DEFAULT_R_BAR, coupling=1.0, cutoff=cutoff),
+                           np.array((0.5, 0.9, 1.5))).exchange.imag
+        for cutoff in cutoffs
+    ])
+    leak = cutoffs[:, None] * im_x[:, :2]  # xi = 0.5, 0.9
+    spread = np.ptp(leak, axis=0) / np.abs(leak).max(axis=0)
+    steps = np.abs(np.diff(im_x[:, 2]))  # xi = 1.5
+    ok = bool(np.all(spread < 1e-3) and np.all(steps[1:] < steps[:-1]))
+    _verdict(11, "micro-causality", ok,
+             f"pre-cone cutoff*im_X spread={spread.max():.1e}, "
+             f"post-cone im_X steps={', '.join(f'{v:.1e}' for v in steps)}")
+    assert ok

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from fermicorr import (
     ModelParams,
@@ -24,9 +25,8 @@ from conftest import double_panel_order
 R_BAR = math.pi / 4.0
 
 
-def params(coupling=0.04, cutoff=300.0, two_photon=True):
-    return ModelParams(r_bar=R_BAR, coupling=coupling, cutoff=cutoff,
-                       include_two_photon=two_photon)
+def params(coupling=0.04, cutoff=300.0):
+    return ModelParams(r_bar=R_BAR, coupling=coupling, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,79 @@ def test_time_amplitudes_match_tensor_oracle(xi):
     assert abs(a.pair_coherence - pair_o) / abs(pair_o) < 1e-5
 
 
+def _ei(z, continued):
+    """Ei(z) = -E1(-z). With ``continued``, the cut is moved so that the
+    function stays analytic across the positive real axis: add i pi sgn(Im z),
+    and take the real part at Im z = 0."""
+    e = -exp1(-z)
+    if continued:
+        e = np.where(z.imag == 0.0, e.real, e + 1j * math.pi * np.sign(z.imag))
+    return e
+
+
+def _kernel_antiderivative(d, n, s, r0, eps):
+    """Antiderivative in d of d^n e^{isd} q^-2, q = eps + i(d - r0), n in {0, 1}.
+
+    With a = r0 + i eps, d = a - iq, so substituting q gives -i e^{isa} B for
+    n = 0 and -i e^{isa} (a B - i Ei(sq)) for n = 1, B = s Ei(sq) - e^{sq}/q.
+    The path of sq has Re(sq) = s eps: for s = +1 it crosses the positive real
+    axis at d = r0, so Ei is continued there; for s = -1 it never meets a cut,
+    and continuing it would put a false 2 pi i jump at d = r0.
+    """
+    a = r0 + 1j * eps
+    q = eps + 1j * (d - r0)
+    e = _ei(s * q, continued=s > 0)
+    b = s * e - np.exp(s * q) / q
+    return -1j * np.exp(1j * s * a) * (b if n == 0 else a * b - 1j * e)
+
+
+def _cos_sin_integrals(tau, n, r, eps):
+    """int_0^tau d^n (cos d, sin d) w(r, d) dd, with w(r, d) = q^-2 summed
+    over r0 = r and -r, from K_n(s, r0) = int_0^tau d^n e^{isd} q^-2 dd."""
+    k = {s: sum(_kernel_antiderivative(tau, n, s, r0, eps)
+                - _kernel_antiderivative(np.zeros_like(tau), n, s, r0, eps) for r0 in (r, -r))
+         for s in (1, -1)}
+    return 0.5 * (k[1] + k[-1]), (k[1] - k[-1]) / 2j
+
+
+def _exponential_integral_amplitudes(r_bar, cutoff, xi):
+    """Independent oracle: the five amplitudes at unit coupling in closed form.
+
+    Each is a combination of int_0^tau (tau - d) (cos d, sin d) w dd, or for
+    the pair coherence the single integrals times e^{i tau}, as in
+    ``_unit_integrals``; the Re w and Im w parts are the real and imaginary
+    parts of the integrals of w, since the other factors are real. It loses
+    digits roughly as 1e-16 (r_bar/tau)^2 at early times.
+    """
+    eps, tau = 1.0 / cutoff, xi * r_bar
+    c0, s0 = _cos_sin_integrals(tau, 0, r_bar, eps)
+    c1, _ = _cos_sin_integrals(tau, 1, r_bar, eps)
+    l0, m0 = _cos_sin_integrals(tau, 0, 0.0, eps)
+    l1, m1 = _cos_sin_integrals(tau, 1, 0.0, eps)
+    even, odd = tau * l0.real - l1.real, tau * m0.imag - m1.imag
+    return {
+        "exchange": 0.5 * (tau * c0 - c1),
+        "re_a": -0.5 * even,
+        "pair_coherence": -0.5 * np.exp(1j * tau) * (np.sin(tau) * c0.real
+                                                     - np.cos(tau) * s0.real),
+        "u2": 0.5 * (even - odd),
+        "v2": 0.5 * (even + odd),
+    }
+
+
+@pytest.mark.parametrize("cutoff", [50.0, 300.0, 1000.0, 3000.0, 1e4])
+@pytest.mark.parametrize("r_bar", [R_BAR, 5.0], ids=["r_bar=pi/4", "r_bar=5"])
+def test_amplitudes_match_exponential_integral_oracle(r_bar, cutoff):
+    # measured worst 2.2e-10 of the largest amplitude (r_bar = 5, cutoff 1e4);
+    # L alone is off by up to 4e-8 relative there, so the bound is per point
+    xi = np.concatenate((np.linspace(0.01, 2.0, 200), [5.0, 10.0, 20.0, 30.0, 40.0]))
+    amps = compute_amplitudes(ModelParams(r_bar=r_bar, coupling=1.0, cutoff=cutoff), xi)
+    exact = _exponential_integral_amplitudes(r_bar, cutoff, xi)
+    gap = np.max([np.abs(getattr(amps, name) - value) for name, value in exact.items()], axis=0)
+    size = np.max([np.abs(value) for value in exact.values()], axis=0)
+    assert np.all(gap <= 1e-9 * size), (xi[np.argmax(gap / size)], np.max(gap / size))
+
+
 def test_single_photon_dual_route():
     # mode-sum oracle vs the normal-ordered double-time-integral route
     p = params(coupling=0.1)
@@ -192,11 +265,6 @@ def test_causality_commutator_confinement():
     assert window_ratio(20.0) < 2e-5
 
 
-def test_two_photon_disabled_marker():
-    out = compute_amplitudes(params(two_photon=False), 1.0)
-    assert out.g2 == 0.0 and out.two_photon_enabled is False
-
-
 def test_two_photon_bounds():
     p = params(coupling=0.06)
     for xi in np.linspace(0.1, 2.0, 20):
@@ -251,7 +319,7 @@ def test_amplitude_continuity():
 def _manual_amps(**kw):
     base = dict(
         xi=1.0, re_a=0.0, exchange=0.0j, u2=0.0, v2=0.0,
-        pair_coherence=0.0j, g2=0.0, two_photon_enabled=True, coupling=0.04,
+        pair_coherence=0.0j, g2=0.0, coupling=0.04,
     )
     base.update(kw)
     return PerturbativeAmplitudes(**base)

@@ -63,6 +63,8 @@ def test_sweep_spec_validation():
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(), params=p)
     with pytest.raises(ValueError, match="couplings"):
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(-0.1,), params=p)
+    with pytest.raises(ValueError, match="couplings must be distinct"):
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.02, 0.04, 0.02), params=p)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="couplings"):
             SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1, bad), params=p)
@@ -254,20 +256,6 @@ def test_sweep_cli_out_of_regime(tmp_path):
     assert not out.exists()
 
 
-def test_sweep_cli_without_two_photon_weight(tmp_path, capsys):
-    # without g2 the exchange block has determinant 2 re_A |X|^2 < 0; near
-    # xi = 0 its negative eigenvalue stays inside the positivity tolerance,
-    # later it does not
-    out = tmp_path / "sweep.csv"
-    short = ["--coupling", "0.02", "--xi-max", "0.05", "--xi-steps", "11"]
-    assert main(["sweep", "--no-two-photon", *short, "--out", str(out)]) == 0
-    assert out.exists()
-    out.unlink()
-    assert main(["sweep", "--no-two-photon", "--coupling", "0.02", "--out", str(out)]) == 2
-    assert "state not positive" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["sweep", "figures"])
 @pytest.mark.parametrize("argv,name", [
     (["--coupling", "0.02", "--coupling", "inf"], "couplings"),
@@ -316,8 +304,11 @@ def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--xi-steps", "nope"]) == 1
     assert main(["no-such-command"]) == 1
-    for command in ("sweep", "state", "figures"):  # the quadrature takes no node count
-        assert main([command, "--quad-points", "256"]) == 1
+    # the quadrature takes no node count, and g2 is always kept: without it the
+    # exchange block has determinant 2 re_A |X|^2 < 0
+    for command in ("sweep", "state", "figures"):
+        for option in (["--quad-points", "256"], ["--two-photon"], ["--no-two-photon"]):
+            assert main([command, *option]) == 1, (command, option)
     capsys.readouterr()
 
 
@@ -329,7 +320,7 @@ def test_state_dump_initial_time():
     expected[1, 1] = 1.0
     assert np.array_equal(rho, expected)
     assert list(doc.keys()) == ["params", "amplitudes", "coefficients", "rho"]
-    assert list(doc["params"]) == ["r_bar", "coupling", "cutoff", "include_two_photon"]
+    assert list(doc["params"]) == ["r_bar", "coupling", "cutoff"]
 
 
 def test_state_dump_roundtrip_and_consistency():
@@ -440,6 +431,16 @@ def test_figures_outputs(tmp_path):
     fig4 = (tmp_path / "fig4.csv").read_text().strip().split("\n")
     assert fig4[0] == "xi,K,conn_corr,sqrtD,negativity"
     assert len(fig4) == 1 + 9 * 21
+
+
+def test_figures_one_coupling_writes_each_block_once(tmp_path):
+    # the dense grid from one coupling to itself holds that coupling once
+    figures(str(tmp_path), small_spec(couplings=(0.02,), steps=5))
+    fig1, fig4 = ((tmp_path / name).read_text() for name in ("fig1.csv", "fig4.csv"))
+    assert len(fig4.splitlines()) == 1 + 5
+    assert fig4.splitlines()[1:] == [
+        ",".join(row.split(",")[i] for i in (0, 1, 4, 2, 3)) for row in fig1.splitlines()[1:]
+    ]
 
 
 def test_figures_runs_one_sweep(tmp_path, monkeypatch):
