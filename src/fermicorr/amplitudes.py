@@ -15,13 +15,13 @@ depend on the cutoff. The mode-sum evaluation of the emission weights and the
 pair coherence lives in :mod:`fermicorr.oracles` as an independent check.
 
 A whole xi grid is evaluated in one pass. The integrands are split into
-node moments that do not depend on xi, the graded panels of the grid are
-shared by every xi with the same panel count, and each distinct panel is
-evaluated once, a fixed number of nodes at a time, so memory does not grow
-with the grid. Each amplitude is linear (or, for the two-photon weight,
-quadratic) in the coupling, and the amplitudes carry the coupling they were
-scaled to, so a sweep computes the coupling-free integrals once, rescales
-them to an (xi, coupling) stack and assembles that stack in one call.
+node moments that do not depend on xi, so every xi sums a prefix of one
+shared set of graded panels plus one tail panel of its own; the panels are
+evaluated a fixed number of nodes at a time, so memory does not grow with the
+grid. Each amplitude is linear (or, for the two-photon weight, quadratic) in
+the coupling, and the amplitudes carry the coupling they were scaled to, so
+a sweep computes the coupling-free integrals once, rescales them to an
+(xi, coupling) stack and assembles that stack in one call.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ _PANEL_GROWTH = 4.0
 _PANEL_CAP = 2.0
 # Gauss-Legendre nodes and weights of every panel.
 _GAUSS = leggauss(24)
-# Time-difference nodes per two_point evaluation: a default sweep takes a few
-# such blocks, and a longer grid takes more of them rather than larger ones.
+# Time-difference nodes per two_point evaluation: a default sweep fits in one
+# such block per kernel, and a longer grid takes more of them, not larger ones.
 _BLOCK_NODES = 1 << 14
 
 
@@ -136,42 +136,29 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, moments):
     Gauss-Legendre rule on [0, tau], for every tau > 0 of an array.
 
     The two-point function peaks in an eps-wide window at ``pole`` (the
-    light-cone separation, or 0 for the equal-position kernel). With the pole
-    first clipped into [0, tau], panels end at the pole and at
-    pole +- eps*4**k, so their widths grow geometrically away from the peak,
-    until they reach _PANEL_CAP; from there on each offset grows by the cap.
-    Each panel then sits about one width from the complex pole of the
-    integrand and spans at most about a third of the period of cos(d), so one Gauss
-    order, _GAUSS, converges at the same rate on every panel, at any cutoff
-    and at late times. The cuts are shared by every tau with the same
-    panel count, so each distinct panel (bitwise the same bounds) is evaluated
-    once, _BLOCK_NODES nodes at a time as a (panels, order) array, and each tau
-    adds up the sums of its own panels in panel order. Returns one array of
-    per-tau sums per moment.
+    light-cone separation, or 0 for the equal-position kernel). Cuts at 0, the
+    pole and pole +- eps*4**k make panel widths grow geometrically away from
+    the peak, until they reach _PANEL_CAP; from there on each offset grows by
+    the cap. Each panel then sits about one width from the complex pole of the
+    integrand and spans at most about a third of the period of cos(d), so one
+    Gauss order, _GAUSS, converges at the same rate on every panel, at any
+    cutoff and at late times. The cuts below tau.max() are shared by the whole
+    grid: each tau's rule is the shared panels up to its last cut below it
+    plus one tail panel to tau itself, so each tau sums a prefix of the shared
+    panel sums and its own tail. All panels are evaluated _BLOCK_NODES nodes
+    at a time as (panels, order) arrays. Returns one array of per-tau sums per
+    moment.
     """
-    eps = 1.0 / cutoff
-    pole = np.minimum(np.maximum(pole, 0.0), tau)
-    steps, longest = [eps], np.maximum(pole, tau - pole).max()
-    while steps[-1] < longest:
+    steps, end = [1.0 / cutoff], tau.max()  # the first offset is eps
+    while steps[-1] < max(pole, end - pole):
         steps.append(min(steps[-1] * _PANEL_GROWTH, steps[-1] + _PANEL_CAP))
     steps = np.array(steps)
-    below, above = pole[:, None] - steps, pole[:, None] + steps
-    cuts = np.column_stack((np.zeros_like(tau), pole, tau, np.where(below > 0.0, below, np.inf),
-                            np.where(above < tau[:, None], above, np.inf)))
-    cuts.sort(axis=1)
-    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf  # each cut once
-    cuts.sort(axis=1)
-    valid = cuts[:, 1:] < np.inf
-    count = valid.sum(axis=1)
-    lower, upper = cuts[:, :-1][valid], cuts[:, 1:][valid]
-    # lexsort and diff, as np.unique would import numpy.ma
-    keys = np.array((upper.view(np.int64), lower.view(np.int64)))
-    sort = np.lexsort(keys)
-    new = np.concatenate(([True], (np.diff(keys[:, sort], axis=1) != 0).any(axis=0)))
-    distinct = np.empty_like(sort)  # the distinct panel of each panel
-    distinct[sort] = np.cumsum(new) - 1
-    lower, upper = lower[sort[new], None], upper[sort[new], None]
-    half = 0.5 * (upper - lower)
+    cuts = np.concatenate(([0.0, pole], pole - steps, pole + steps))
+    cuts = np.sort(cuts[(cuts >= 0.0) & (cuts < end)])
+    cuts = cuts[np.concatenate(([True], np.diff(cuts) > 0.0))]  # each cut once
+    last = np.searchsorted(cuts, tau) - 1  # each tau's last cut below it
+    lower = np.concatenate((cuts[:-1], cuts[last]))[:, None]
+    half = 0.5 * (np.concatenate((cuts[1:], tau))[:, None] - lower)
     x, w = _GAUSS
     step = _BLOCK_NODES // x.size  # panels per block
     blocks = []
@@ -179,8 +166,9 @@ def _integrate(tau: np.ndarray, pole: float, cutoff: float, moments):
         h = half[start:start + step]
         d = lower[start:start + step] + h * (x + 1.0)
         blocks.append([v.sum(axis=1) for v in moments(d, h * w)])
-    first = np.cumsum(count) - count
-    return [np.add.reduceat(np.concatenate(v)[distinct], first) for v in zip(*blocks)]
+    shared = cuts.size - 1
+    return [np.concatenate(([0.0], np.cumsum(v[:shared])))[last] + v[shared:]
+            for v in map(np.concatenate, zip(*blocks))]
 
 
 def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float):

@@ -88,10 +88,13 @@ def connected_correlation_xstate(coeffs: XStateCoefficients) -> float:
 
 
 def _normalized(coeffs: XStateCoefficients):
+    # each part of a complex entry is divided on its own, as Python divides a
+    # complex by a float: numpy multiplies by 1/c, so a stack would round
+    # apart from its points
     c = coeffs.c
     return (
         coeffs.rho11 / c, coeffs.rho22 / c, coeffs.rho33 / c, coeffs.rho44 / c,
-        coeffs.rho14 / c, coeffs.rho23 / c,
+        *(z.real / c + 1j * (z.imag / c) for z in (coeffs.rho14, coeffs.rho23)),
     )
 
 

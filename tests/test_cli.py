@@ -125,11 +125,11 @@ def test_sweep_csv_layout(tmp_path):
     assert float(fields[2]) == R_BAR
 
 
-def test_sweep_evaluates_each_distinct_panel_once(monkeypatch):
+def test_sweep_shares_panels_across_xi(monkeypatch):
     # the sweep runs one quadrature pass whatever the coupling count, and the
-    # graded cuts 0, eps*4**k and pole +- eps*4**k are shared by every xi with
-    # the same panel count, so a long grid evaluates each distinct panel once:
-    # well under the nodes of its points taken one by one
+    # graded cuts 0, pole and pole +- eps*4**k are shared by the whole grid:
+    # each xi adds only its tail panel to a prefix of the shared panels, well
+    # under the nodes of its points taken one by one
     spec = small_spec(couplings=(0.06, 0.02, 0.04), steps=2100, cutoff=300.0)
     sizes = two_point_sizes(monkeypatch)
     columns = run_sweep(spec)
@@ -160,11 +160,10 @@ def test_sweep_assembles_and_reports_once(monkeypatch):
 
 def test_sweep_memory_does_not_grow_with_grid(monkeypatch):
     sizes = two_point_sizes(monkeypatch)
-    run_sweep(small_spec(couplings=DEFAULT_COUPLINGS, steps=DEFAULT_XI_STEPS, cutoff=300.0))
-    default_largest = max(sizes)
-    sizes.clear()
+    # a long grid takes more blocks rather than larger ones
     run_sweep(small_spec(couplings=DEFAULT_COUPLINGS, steps=5000, cutoff=300.0))
-    assert max(sizes) <= default_largest
+    assert len(sizes) > 1
+    assert max(sizes) <= amplitudes._BLOCK_NODES
 
 
 def test_sweep_rows_match_point_route():
@@ -194,8 +193,7 @@ def test_sweep_rows_match_point_route():
                 row = next(rows)
                 assert row["hierarchy_ok"] is rep.hierarchy_ok
                 for name in SWEEP_HEADER[:-1]:
-                    assert row[name] == pytest.approx(expected[name], rel=1e-12, abs=0.0), (
-                        name, spec.params.cutoff, xi)
+                    assert row[name] == expected[name], (name, spec.params.cutoff, xi)
 
 
 def test_sweep_matches_golden_csv():
@@ -285,7 +283,7 @@ def test_sweep_cli_smoke(tmp_path):
 
 def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
     # a fresh interpreter, since any earlier test may have imported them; the
-    # panel dedup avoids np.unique, which imports numpy.ma, and only
+    # cut dedup avoids np.unique, which imports numpy.ma, and only
     # random_state needs numpy.random
     code = (
         "import sys\n"
