@@ -29,7 +29,6 @@ from fermicorr.cli import (
     DEFAULT_R_BAR,
     DEFAULT_XI_MAX,
     DEFAULT_XI_MIN,
-    DEFAULT_XI_STEPS,
     SWEEP_HEADER,
     SweepSpec,
     amplitude_fields,
