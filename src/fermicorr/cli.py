@@ -72,9 +72,9 @@ ORACLE_TOLERANCES = {
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A (xi, coupling) sweep: grid ranges, coupling list and shared params.
+    """A (xi, coupling) sweep: grid ranges, coupling list, separation and cutoff.
 
-    The couplings live in ``couplings`` alone; ``params`` holds the unit
+    The couplings live in ``couplings`` alone; ``params`` gives the unit
     coupling that the sweep's one quadrature pass runs at.
     """
 
@@ -82,9 +82,11 @@ class SweepSpec:
     xi_max: float
     xi_steps: int
     couplings: tuple
-    params: ModelParams
+    r_bar: float
+    cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self):
+        self.params  # rejects a bad r_bar or cutoff
         if not (0.0 <= self.xi_min < self.xi_max < math.inf):
             raise ValueError(
                 f"need 0 <= xi_min < xi_max < inf, got [{self.xi_min}, {self.xi_max}]"
@@ -97,8 +99,10 @@ class SweepSpec:
             raise ValueError(f"couplings must all be finite and >= 0, got {self.couplings}")
         if len(set(self.couplings)) < len(self.couplings):
             raise ValueError(f"couplings must be distinct, got {self.couplings}")
-        if self.params.coupling != 1.0:
-            raise ValueError(f"params must be at unit coupling, got {self.params.coupling}")
+
+    @property
+    def params(self) -> ModelParams:
+        return ModelParams(self.r_bar, 1.0, self.cutoff)
 
     def xi_grid(self) -> np.ndarray:
         return np.linspace(self.xi_min, self.xi_max, self.xi_steps)
@@ -132,8 +136,8 @@ def run_sweep(spec: SweepSpec) -> dict:
     amps = unit.scaled(np.array(sorted(spec.couplings)))
     coeffs, _ = assemble(amps)
     rep = report(coeffs)
-    columns = {**amplitude_fields(amps), "K": amps.coupling, "r_bar": spec.params.r_bar,
-               "cutoff": spec.params.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
+    columns = {**amplitude_fields(amps), "K": amps.coupling, "r_bar": spec.r_bar,
+               "cutoff": spec.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
                "negativity": rep.negativity, "conn_corr": rep.connected_corr,
                "bell_chsh": rep.bell_chsh, "bell_opt": rep.bell_opt,
                "hierarchy_ok": rep.hierarchy_ok}
@@ -277,14 +281,10 @@ def _add_grid_args(sub):
     sub.add_argument("--xi-steps", type=int, default=DEFAULT_XI_STEPS)
 
 
-def _model_params(args, coupling: float) -> ModelParams:
-    return ModelParams(r_bar=args.r_bar, coupling=coupling, cutoff=args.cutoff)
-
-
 def _sweep_spec(args) -> SweepSpec:
     couplings = tuple(args.coupling or DEFAULT_COUPLINGS)
     return SweepSpec(xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
-                     couplings=couplings, params=_model_params(args, 1.0))
+                     couplings=couplings, r_bar=args.r_bar, cutoff=args.cutoff)
 
 
 def main(argv=None) -> int:
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.command == "state":
-            doc = state_dump(_model_params(args, args.coupling), args.xi)
+            doc = state_dump(ModelParams(args.r_bar, args.coupling, args.cutoff), args.xi)
             text = json.dumps(doc, indent=2)
             if args.out:
                 with open(args.out, "w", newline="\n") as fh:
@@ -344,15 +344,14 @@ def main(argv=None) -> int:
             if not rep["ok"]:
                 return _fail("oracle tolerance breach", 3)
             return 0
-        if args.command == "figures":
-            for path in figures(args.out, _sweep_spec(args)):
-                print(f"wrote {path}")
-            return 0
+        # figures: the subparsers admit no other command
+        for path in figures(args.out, _sweep_spec(args)):
+            print(f"wrote {path}")
+        return 0
     except OutOfRegimeError as exc:
         return _fail(f"out of regime: {exc}", 2)
     except (ValueError, OSError) as exc:
         return _fail(f"error: {exc}", 1)
-    return _fail(f"unknown command {args.command!r}", 1)
 
 
 if __name__ == "__main__":

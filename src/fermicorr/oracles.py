@@ -39,7 +39,6 @@ time-difference quadrature of :mod:`fermicorr.amplitudes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,10 +67,8 @@ _CHSH_BLOCK_ROWS = 48
 # Mode integrals run over k in (0, 40*cutoff); panel width resolves the
 # slowest oscillation period of the integrands (>= 2*pi/2.4 here).
 _MODE_RANGE = 40.0
-_MODE_PANEL_WIDTH = 0.6
+_MODE_PANEL_WIDTH = 0.3
 _MODE_PANEL_ORDER = 8
-_MODE_REFINE_ROUNDS = 3
-_MODE_REFINE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -262,27 +259,18 @@ def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     return _search(lambda b, bp: _chsh_value(corr, b, bp), [dirs, dirs], grid)[0]
 
 
-@lru_cache(maxsize=8)
-def _mode_grid(r_bar: float, cutoff: float, width: float):
-    """Static per-grid arrays: nodes, weighted envelope, resonant
-    denominators and the separation phase."""
+def _mode_integrals(tau: float, r_bar: float, cutoff: float):
+    """u2 and v2 at unit coupling and the mode sum of cos(k r_bar) P conj(M)."""
     kmax = _MODE_RANGE * cutoff
-    npan = int(np.ceil(kmax / width))
-    cuts = np.linspace(0.0, kmax, npan + 1)
+    cuts = np.linspace(0.0, kmax, int(np.ceil(kmax / _MODE_PANEL_WIDTH)) + 1)
     x, w = leggauss(_MODE_PANEL_ORDER)
     mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     om = (mid + half * x[None, :]).ravel()
-    ww = (half * w[None, :]).ravel()
-    base = om * np.exp(-om / cutoff) * ww
+    base = om * np.exp(-om / cutoff) * (half * w[None, :]).ravel()
     # Gauss nodes never land exactly on the resonance om = 1
     inv_m = 1.0 / (om - 1.0)
     inv_p = 1.0 / (om + 1.0)
-    return om, base, inv_m, inv_p, np.cos(om * r_bar)
-
-
-def _mode_integrals_once(tau: float, r_bar: float, cutoff: float, width: float):
-    om, base, inv_m, inv_p, cos_r = _mode_grid(r_bar, cutoff, width)
     # per-mode emission amplitudes |M|^2 = 4 sin^2((om-1) tau/2)/(om-1)^2 etc.,
     # built from one trig pair via angle addition
     s = np.sin(0.5 * tau * om)
@@ -296,7 +284,7 @@ def _mode_integrals_once(tau: float, r_bar: float, cutoff: float, width: float):
     # the numerator must stay fused so its zero at om = 1 cancels per node
     eit = np.exp(1j * tau)
     numer = (eit - 1.0) ** 2 + 4.0 * eit * s**2
-    pair_mode = complex(0.5 * np.sum(base * cos_r * inv_m * inv_p * numer))
+    pair_mode = complex(0.5 * np.sum(base * np.cos(om * r_bar) * inv_m * inv_p * numer))
     return u2, v2, pair_mode
 
 
@@ -306,24 +294,14 @@ def mode_sum_amplitudes(p: ModelParams, xi: float) -> tuple[float, float, comple
     u2 = 2K int_0^inf k e^{-k/cutoff} sin^2((k-1) tau/2) / (k-1)^2 dk and v2
     the same with k+1 in place of k-1 (tau = xi * r_bar); L is minus the
     mode sum of cos(k r_bar) times the product P conj(M) of the per-mode
-    counter-rotating and rotating emission amplitudes. Fixed Gauss panels on
-    (0, 40*cutoff) are halved, at most three times, until the result changes
-    by at most 1e-9 relative. This is an independent route to the values
-    that :func:`fermicorr.amplitudes.compute_amplitudes` gets by
-    time-difference quadrature.
+    counter-rotating and rotating emission amplitudes. One fixed Gauss rule
+    sums them: 8 nodes on each panel of width 0.3 over (0, 40*cutoff).
+    This is an independent route to the values that
+    :func:`fermicorr.amplitudes.compute_amplitudes` gets by time-difference
+    quadrature.
     """
     tau = xi * p.r_bar
     if tau <= 0.0:
         return 0.0, 0.0, 0.0j
-    width = _MODE_PANEL_WIDTH
-    prev = _mode_integrals_once(tau, p.r_bar, p.cutoff, width)
-    for _ in range(_MODE_REFINE_ROUNDS):
-        width *= 0.5
-        cur = _mode_integrals_once(tau, p.r_bar, p.cutoff, width)
-        scale = max(abs(prev[0]), abs(prev[1]), abs(prev[2]), 1e-30)
-        err = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]), abs(cur[2] - prev[2]))
-        prev = cur
-        if err <= _MODE_REFINE_RTOL * scale:
-            break
-    u2, v2, pair_mode = prev
+    u2, v2, pair_mode = _mode_integrals(tau, p.r_bar, p.cutoff)
     return p.coupling * u2, p.coupling * v2, -p.coupling * pair_mode

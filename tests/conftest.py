@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from fermicorr import ModelParams, PerturbativeAmplitudes, XStateCoefficients, amplitudes
+from fermicorr import ModelParams, PerturbativeAmplitudes, XStateCoefficients, amplitudes, oracles
 from fermicorr.states import IDENTITY_2, PAULI, state_from_json
 from fermicorr.cli import (
     AMPLITUDE_NAMES,
@@ -33,7 +33,7 @@ def default_sweep():
         xi_max=DEFAULT_XI_MAX,
         xi_steps=DEFAULT_XI_STEPS,
         couplings=DEFAULT_COUPLINGS,
-        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=1.0),
+        r_bar=DEFAULT_R_BAR,
     )
     start = time.perf_counter()
     rows = sweep_rows(run_sweep(spec))
@@ -44,6 +44,11 @@ def default_sweep():
 def double_panel_order(monkeypatch):
     """Give every quadrature panel twice its Gauss-Legendre nodes from now on."""
     monkeypatch.setattr(amplitudes, "_GAUSS", leggauss(2 * amplitudes._GAUSS[0].size))
+
+
+def halve_mode_panel_width(monkeypatch):
+    """Give the mode-sum oracle panels of half their width from now on."""
+    monkeypatch.setattr(oracles, "_MODE_PANEL_WIDTH", 0.5 * oracles._MODE_PANEL_WIDTH)
 
 
 def sweep_rows(columns):

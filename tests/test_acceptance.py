@@ -162,7 +162,7 @@ def test_criterion_06_entanglement_onset(default_sweep):
     positive (the regime margin)."""
     default_agree, default_onsets = _onset_agreement(default_sweep["rows"], DEFAULT_COUPLINGS)
     spec = SweepSpec(xi_min=0.0, xi_max=6.0, xi_steps=1201, couplings=ONSET_COUPLINGS,
-                     params=ModelParams(r_bar=ONSET_R_BAR, coupling=1.0))
+                     r_bar=ONSET_R_BAR)
     rows = sweep_rows(run_sweep(spec))
     onset_agree, onsets = _onset_agreement(rows, ONSET_COUPLINGS)
     margins, generic_agree = {}, True

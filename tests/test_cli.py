@@ -46,32 +46,31 @@ R_BAR = math.pi / 4.0
 
 
 def small_spec(couplings=(0.04, 0.02), steps=5, cutoff=50.0):
-    return SweepSpec(
-        xi_min=0.0, xi_max=2.0, xi_steps=steps, couplings=couplings,
-        params=ModelParams(r_bar=R_BAR, coupling=1.0, cutoff=cutoff),
-    )
+    return SweepSpec(xi_min=0.0, xi_max=2.0, xi_steps=steps, couplings=couplings,
+                     r_bar=R_BAR, cutoff=cutoff)
 
 
 def test_sweep_spec_validation():
-    p = ModelParams(r_bar=R_BAR, coupling=1.0)
+    p = {"r_bar": R_BAR}
     with pytest.raises(ValueError, match="xi_min"):
-        SweepSpec(xi_min=2.0, xi_max=1.0, xi_steps=5, couplings=(0.1,), params=p)
+        SweepSpec(xi_min=2.0, xi_max=1.0, xi_steps=5, couplings=(0.1,), **p)
     with pytest.raises(ValueError, match="xi_steps"):
-        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=1, couplings=(0.1,), params=p)
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=1, couplings=(0.1,), **p)
     with pytest.raises(ValueError, match="couplings"):
-        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(), params=p)
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(), **p)
     with pytest.raises(ValueError, match="couplings"):
-        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(-0.1,), params=p)
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(-0.1,), **p)
     with pytest.raises(ValueError, match="couplings must be distinct"):
-        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.02, 0.04, 0.02), params=p)
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.02, 0.04, 0.02), **p)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="couplings"):
-            SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1, bad), params=p)
+            SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1, bad), **p)
         with pytest.raises(ValueError, match="xi_min"):
-            SweepSpec(xi_min=0.0, xi_max=bad, xi_steps=5, couplings=(0.1,), params=p)
-    with pytest.raises(ValueError, match="unit coupling"):
-        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1,),
-                  params=replace(p, coupling=0.1))
+            SweepSpec(xi_min=0.0, xi_max=bad, xi_steps=5, couplings=(0.1,), **p)
+    with pytest.raises(ValueError, match="r_bar"):
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1,), r_bar=-1.0)
+    with pytest.raises(ValueError, match="cutoff"):
+        SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1,), r_bar=R_BAR, cutoff=5.0)
 
 
 def two_point_sizes(monkeypatch):
@@ -207,7 +206,7 @@ def test_sweep_matches_golden_csv():
     expected = dict(zip(SWEEP_HEADER, zip(*(line.split(",") for line in lines))))
     spec = SweepSpec(
         xi_min=DEFAULT_XI_MIN, xi_max=DEFAULT_XI_MAX, xi_steps=41, couplings=DEFAULT_COUPLINGS,
-        params=ModelParams(r_bar=DEFAULT_R_BAR, coupling=1.0),
+        r_bar=DEFAULT_R_BAR,
     )
     columns = run_sweep(spec)
     assert columns["hierarchy_ok"].tolist() == [v == "true" for v in expected["hierarchy_ok"]]
