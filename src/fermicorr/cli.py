@@ -287,35 +287,67 @@ def _sweep_spec(args) -> SweepSpec:
                      couplings=couplings, r_bar=args.r_bar, cutoff=args.cutoff)
 
 
-def main(argv=None) -> int:
+def _add_sweep_args(p):
+    _add_model_args(p)
+    _add_grid_args(p)
+    p.add_argument("--out", default="sweep.csv", help="output CSV path")
+
+
+def _add_state_args(p):
+    _add_model_args(p)
+    p.add_argument("--coupling", type=float, action=_Once, default=DEFAULT_COUPLINGS[0],
+                   help="dimensionless coupling K (default: %(default)s)")
+    p.add_argument("--xi", type=float, default=1.0, help="dimensionless time")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _add_oracle_args(p):
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--out", default=None, help="write the JSON report here")
+
+
+def _add_figures_args(p):
+    _add_model_args(p)
+    _add_grid_args(p)
+    p.add_argument("--out", default=".", help="output directory")
+
+
+# Each command's help line and arguments, read by both parse routes.
+_COMMANDS = {
+    "sweep": ("run a (xi, K) sweep and write CSV", _add_sweep_args),
+    "state": ("dump one assembled state as JSON", _add_state_args),
+    "oracle-check": ("closed forms vs brute-force oracles", _add_oracle_args),
+    "figures": ("emit plot-ready CSV datasets", _add_figures_args),
+}
+
+
+def _full_parser() -> _Parser:
     parser = _Parser(prog="fermicorr",
                      description="Two-qubit correlation dynamics in a 1D vacuum field")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
+    return parser
 
-    p_sweep = sub.add_parser("sweep", help="run a (xi, K) sweep and write CSV")
-    _add_model_args(p_sweep)
-    _add_grid_args(p_sweep)
-    p_sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
 
-    p_state = sub.add_parser("state", help="dump one assembled state as JSON")
-    _add_model_args(p_state)
-    p_state.add_argument("--coupling", type=float, action=_Once, default=DEFAULT_COUPLINGS[0],
-                         help="dimensionless coupling K (default: %(default)s)")
-    p_state.add_argument("--xi", type=float, default=1.0, help="dimensionless time")
-    p_state.add_argument("--out", default=None, help="output path (default: stdout)")
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line, with only the named command's parser if it names one."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _full_parser().parse_args(argv)
+    parser = _Parser(prog=f"fermicorr {argv[0]}")
+    _COMMANDS[argv[0]][1](parser)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        # the full tree reports a command's leftovers with the top-level usage
+        _full_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
-    p_oracle = sub.add_parser("oracle-check", help="closed forms vs brute-force oracles")
-    p_oracle.add_argument("--count", type=int, default=100)
-    p_oracle.add_argument("--seed", type=int, default=7)
-    p_oracle.add_argument("--out", default=None, help="write the JSON report here")
 
-    p_fig = sub.add_parser("figures", help="emit plot-ready CSV datasets")
-    _add_model_args(p_fig)
-    _add_grid_args(p_fig)
-    p_fig.add_argument("--out", default=".", help="output directory")
-
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

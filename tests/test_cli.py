@@ -308,6 +308,61 @@ def test_usage_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["state"], ["oracle-check"], ["figures"],
+    ["state", "--xi", "1.3", "--coupling", "0.03", "--out", "s.json"],
+    ["state", "--xi=1.3", "--coupling=0.03", "--out=s.json"],
+    ["sweep", "--coupl", "0.02", "--xi-st", "5"],
+    ["sweep", "--coupling", "0.02", "--coupling", "0.04"],
+    ["state", "--coupling", "0.02", "--coupling", "0.06"],
+    ["sweep", "--xi-steps", "x"], ["state", "--xi"],
+    ["state", "--bogus", "1"], ["state", "extra"], ["state", "--", "--xi", "1"],
+    ["sweep", "--coupling", "0.02", "extra", "--xi-min", "0"],
+    ["sweep", "-h"], ["state", "-h"], ["oracle-check", "-h"], ["figures", "-h"],
+    ["--help"], [], ["bogus"], ["--", "state"],
+])
+def test_command_parser_matches_full_parser(argv, capsys):
+    """The named command's parser alone parses as the full tree does: the same
+    namespace, or the same exit code, stdout and stderr."""
+    reference = _parse_outcome(lambda a: cli._full_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == reference
+
+
+def test_main_builds_only_the_named_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["state", "--out", str(tmp_path / "s.json")]) == 0
+    assert built == ["fermicorr state"]
+    built.clear()
+    assert main(["--help"]) == 0
+    assert len(built) == 1 + len(cli._COMMANDS)
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.json"
+    monkeypatch.setattr(sys, "argv", ["fermicorr", "state", "--out", str(out)])
+    assert main() == 0
+    assert json.loads(out.read_text())["params"]["coupling"] == DEFAULT_COUPLINGS[0]
+    monkeypatch.setattr(sys, "argv", ["fermicorr"])
+    assert main() == 1
+    assert "the following arguments are required: command" in capsys.readouterr().err
+
+
 def test_state_dump_initial_time():
     p = ModelParams(r_bar=R_BAR, coupling=0.05, cutoff=50.0)
     doc = state_dump(p, 0.0)
