@@ -17,8 +17,7 @@ from the state once per call; the connected correlation of axis batches A, B
 is then (A W) B^T with W = T - x y^T. The CHSH objective
 |Tb + Tb'| + |Tb - Tb'| uses the Gram form
 |Tb +- Tb'|^2 = |Tb|^2 + |Tb'|^2 +- 2 Tb.Tb' from one product of the two
-batches, taken in blocks of 48 rows of b so that its temporaries stay in
-cache. Where |Tb - Tb'| or |Tb + Tb'| is small (b' near +-b, or b -+ b'
+batches. Where |Tb - Tb'| or |Tb + Tb'| is small (b' near +-b, or b -+ b'
 near a null direction of T) that branch loses digits to cancellation before
 its square root. The value is then off by at most about 1e-8 absolute,
 reached at b' = +-b as the square root of a rounding error of |Tb|^2 <= 1;
@@ -30,7 +29,9 @@ in pairs or not at all), so the coarse search runs on the antipodal half of
 the grid: the first half of the theta-major ``DirectionGrid.directions()``,
 which holds one direction of every antipodal pair because ``azimuth_steps``
 is even. Discord searches n on it, the connected correlation n (not n'), and
-CHSH both b and b'.
+CHSH both b and b'. :func:`_search` holds no coarse table: it keeps a
+running best over blocks of 48 rows, whose temporaries stay in cache, and
+the CHSH blocks evaluate only b <= b', as the value is symmetric in b, b'.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
@@ -61,8 +62,11 @@ _MESH_RING = ((np.abs(_MESH_A) == 1.0) | (np.abs(_MESH_B) == 1.0)).ravel()
 _WINDOW_FLOOR = 1e-5
 _MAX_ROUNDS = 200
 
-# (b, b') rows per CHSH block: its (48, 576) temporaries stay in cache
-_CHSH_BLOCK_ROWS = 48
+# rows of the first batch per coarse block: its (48, 1152) temporaries stay in cache
+_COARSE_ROWS = 48
+
+# tangent-plane seeds: x, or y where the center lies near +-x
+_SEED_X, _SEED_Y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
 
 # Mode integrals run over k in (0, 40*cutoff); panel width resolves the
 # slowest oscillation period of the integrands (>= 2*pi/2.4 here).
@@ -101,34 +105,48 @@ class DirectionGrid:
 
 def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
     """Unit vectors fanned around ``center`` in its tangent plane."""
-    seed = np.array([1.0, 0.0, 0.0]) if abs(center[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    seed = _SEED_X if abs(center[0]) < 0.9 else _SEED_Y
     e1 = seed - np.dot(seed, center) * center
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.sqrt(e1.dot(e1))  # what np.linalg.norm computes for a real vector
     # center x e1 by components: np.cross costs more than the rest of the mesh
     cx, cy, cz = center
     e2 = np.array([cy * e1[2] - cz * e1[1], cz * e1[0] - cx * e1[2], cx * e1[1] - cy * e1[0]])
     dirs = center + (half_width * _MESH_A) * e1 + (half_width * _MESH_B) * e2
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs / np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))
 
 
-def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0):
+def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0,
+            symmetric: bool = False):
     """Maximize ``sign * objective`` over one measurement axis per batch.
 
     ``objective`` maps k direction batches to an array with one axis per
-    batch. The coarse step evaluates it on ``coarse_batches``, and each round
-    on tangent meshes of half-width w around the best axes so far. A round
-    whose best point improves on the outer ring of a mesh moves there and
-    doubles w, up to its start of one grid cell; any other round keeps an
-    improvement and quarters w. The search ends once w < _WINDOW_FLOOR, or
-    after _MAX_ROUNDS rounds. sign = -1 minimizes. Returns (value, axes):
-    the best value of ``objective`` itself and a list of its k axes.
+    batch. The coarse step evaluates it on ``coarse_batches``, _COARSE_ROWS
+    rows of the first of k > 1 batches at a time; a block replaces the best
+    only if strictly greater, so the first row-major maximum is kept, as by
+    np.argmax over the whole table. symmetric=True declares two equal batches
+    and a symmetric table: each block's columns start at its first row, which
+    keeps that maximum, since its row <= its column. Each round evaluates
+    ``objective`` on tangent meshes of half-width w around the best axes so
+    far. A round whose best point improves on the outer ring of a mesh moves
+    there and doubles w, up to its start of one grid cell; any other round
+    keeps an improvement and quarters w. The search ends once
+    w < _WINDOW_FLOOR, or after _MAX_ROUNDS rounds. sign = -1 minimizes.
+    Returns (value, axes): the best value of ``objective`` itself and a list
+    of its k axes.
     """
     def best_of(batches):
         vals = sign * objective(*batches)
         idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return vals[idx], [batch[i] for batch, i in zip(batches, idx)], idx
 
-    best, axes, _ = best_of(coarse_batches)
+    first, *rest = coarse_batches
+    rows = _COARSE_ROWS if rest else len(first)
+    best = -np.inf
+    for start in range(0, len(first), rows):
+        block = [first[start:start + rows]] + [b[start:] if symmetric else b for b in rest]
+        value, centers, _ = best_of(block)
+        if value > best:
+            best, axes = value, centers
     w = w_max = grid.initial_window()
     for _ in range(_MAX_ROUNDS):
         value, centers, idx = best_of([_tangent_mesh(axis, w) for axis in axes])
@@ -225,25 +243,17 @@ def _chsh_value(corr, dirs_b, dirs_bp):
 
     For fixed b, b' the optimum over unit a, a' is |T b + T b'| + |T b - T b'|,
     here in Gram form; see the module docstring for its cancellation bound.
-    It is evaluated in blocks of _CHSH_BLOCK_ROWS b rows, each element by the
-    same arithmetic as in one pass over the whole batch.
     """
     tb = dirs_b @ corr.T
     tbp = dirs_bp @ corr.T
-    norm_b = np.einsum("mi,mi->m", tb, tb)
-    norm_bp = np.einsum("mi,mi->m", tbp, tbp)
-    out = np.empty((len(tb), len(tbp)))
-    for start in range(0, len(tb), _CHSH_BLOCK_ROWS):
-        rows = slice(start, start + _CHSH_BLOCK_ROWS)
-        cross = 2.0 * (tb[rows] @ tbp.T)
-        plus = np.add.outer(norm_b[rows], norm_bp)
-        minus = plus - cross
-        plus += cross
-        # rounding can leave |T(b -+ b')|^2 slightly negative near b' = +-b
-        for squared in (plus, minus):
-            np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
-        np.add(plus, minus, out=out[rows])
-    return out
+    cross = 2.0 * (tb @ tbp.T)
+    plus = np.add.outer(np.einsum("mi,mi->m", tb, tb), np.einsum("mi,mi->m", tbp, tbp))
+    minus = plus - cross
+    plus += cross
+    # rounding can leave |T(b -+ b')|^2 slightly negative near b' = +-b
+    for squared in (plus, minus):
+        np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
+    return plus + minus
 
 
 def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
@@ -256,7 +266,8 @@ def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     """
     corr = _moments(validate_state(rho))[0]
     dirs = _antipodal_half(grid.directions())
-    return _search(lambda b, bp: _chsh_value(corr, b, bp), [dirs, dirs], grid)[0]
+    return _search(lambda b, bp: _chsh_value(corr, b, bp), [dirs, dirs], grid,
+                   symmetric=True)[0]
 
 
 def _mode_integrals(tau: float, r_bar: float, cutoff: float):

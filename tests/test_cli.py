@@ -282,10 +282,13 @@ def test_sweep_cli_smoke(tmp_path):
 def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
     # a fresh interpreter, since any earlier test may have imported them; the
     # cut dedup avoids np.unique, which imports numpy.ma, and only
-    # random_state needs numpy.random
+    # random_state needs numpy.random. The import alone must not load
+    # numpy.random (10-20 ms): oracle-check pays it at its first random state,
+    # while at import time every command would pay it
     code = (
         "import sys\n"
         "from fermicorr.cli import main\n"
+        "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
         f"assert main(['sweep', '--xi-steps', '41', '--out', {str(tmp_path / 'a.csv')!r}]) == 0\n"
         f"assert main(['state', '--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
         "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
@@ -294,7 +297,8 @@ def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]", proc.stdout
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

@@ -292,7 +292,8 @@ def _chsh_reference(corr, dirs_b, dirs_bp):
     return plus + minus
 
 
-REGRESSION_SEEDS = [*range(30), 502, 564, 1888, 110000372]
+# 2000160, 7000603 and 14000700 run the CHSH search to its 200-round cap
+REGRESSION_SEEDS = [*range(30), 502, 564, 1888, 110000372, 2000160, 7000603, 14000700]
 
 
 @pytest.mark.parametrize("seed", REGRESSION_SEEDS)
@@ -317,3 +318,43 @@ def test_oracles_match_reference_objectives(seed):
     corr = _moments(random_state(seed, "xshape"))[0]
     ref_value, _ = _search(lambda b, bp: _chsh_reference(corr, b, bp), [half, half], GRID)
     assert chsh_gridopt(random_state(seed, "xshape"), GRID) == ref_value
+
+
+def _coarse_pick(table, dirs, symmetric):
+    """(value, indices) that _search keeps for a table looked up by the exact
+    coarse directions; every other direction scores below the table, so no
+    refinement round improves on the coarse pick."""
+    index = {d.tobytes(): i for i, d in enumerate(dirs)}
+
+    def lookup(batch):
+        return np.array([index.get(d.tobytes(), -1) for d in batch])
+
+    def objective(a, b):
+        rows, cols = lookup(a), lookup(b)
+        vals = table[np.ix_(rows, cols)]
+        vals[(rows < 0)[:, None] | (cols < 0)[None, :]] = -1.0
+        return vals
+
+    value, axes = _search(objective, [dirs, dirs], GRID, symmetric=symmetric)
+    return value, tuple(int(lookup(axis[None])[0]) for axis in axes)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_coarse_search_keeps_first_row_major_maximum(symmetric):
+    # the maximum repeats inside the row block 48-95 and again in block 96-143:
+    # the coarse pick must be np.argmax's, not the last block's
+    rng = np.random.default_rng(3)
+    dirs = rng.standard_normal((200, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    table = rng.integers(0, 5, (200, 200)).astype(float)
+    if symmetric:
+        table += table.T
+        ties = [(60, 150), (70, 75), (130, 140)]
+        ties += [(j, i) for i, j in ties]
+    else:
+        ties = [(60, 10), (60, 150), (70, 5), (130, 2)]
+    for i, j in ties:
+        table[i, j] = 9.0
+    first = np.unravel_index(int(np.argmax(table)), table.shape)
+    assert first == ((60, 150) if symmetric else (60, 10))
+    assert _coarse_pick(table, dirs, symmetric) == (9.0, first)
