@@ -30,8 +30,8 @@ the grid: the first half of the theta-major ``DirectionGrid.directions()``,
 which holds one direction of every antipodal pair because ``azimuth_steps``
 is even. Discord searches n on it, the connected correlation n (not n'), and
 CHSH both b and b'. :func:`_search` holds no coarse table: it keeps a
-running best over blocks of 48 rows, whose temporaries stay in cache, and
-the CHSH blocks evaluate only b <= b', as the value is symmetric in b, b'.
+running best over blocks of 48 rows, whose temporaries stay in cache; CHSH,
+symmetric in b and b', takes about the triangle b <= b' of each block.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
