@@ -38,8 +38,8 @@ class CorrelationReport:
 def geometric_discord(rho: np.ndarray) -> float:
     """Normalized geometric discord under projective measurement of the
     first qubit: D = 2 Tr S - 2 lambda_max(S) with S = (x x^T + T T^T)/4."""
-    b = decompose(rho)
-    ev = np.linalg.eigvalsh(0.25 * (np.outer(b.x, b.x) + b.t @ b.t.T))
+    x, _, t = decompose(rho)
+    ev = np.linalg.eigvalsh(0.25 * (np.outer(x, x) + t @ t.T))
     return max(0.0, float(2.0 * np.sum(ev) - 2.0 * ev[-1]))
 
 
@@ -54,8 +54,8 @@ def negativity(rho: np.ndarray) -> float:
 def connected_correlation(rho: np.ndarray) -> float:
     """Maximum covariance of local spin projections: the largest singular
     value of W = T - x y^T."""
-    b = decompose(rho)
-    w = b.t - np.outer(b.x, b.y)
+    x, y, t = decompose(rho)
+    w = t - np.outer(x, y)
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 

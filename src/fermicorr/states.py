@@ -6,8 +6,6 @@ plain 4x4 complex numpy arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BASIS_LABELS = ("ee", "eg", "ge", "gg")
@@ -28,8 +26,8 @@ POSITIVITY_ATOL = 1e-10
 class StateValidationError(ValueError):
     """Raised when a matrix violates a density-matrix invariant.
 
-    The message names the violated invariant (hermiticity, trace or
-    positivity) together with the offending magnitude.
+    The message names the violated invariant (shape, finite, hermiticity,
+    trace or positivity) together with the offending value.
     """
 
 
@@ -38,11 +36,15 @@ def validate_state(rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is one (4, 4) matrix or a (..., 4, 4) stack of them; hermiticity,
     unit trace and positive semidefiniteness are each checked over the whole
-    stack at once and reported by their worst value.
+    stack at once and reported by their worst value. A NaN or infinite entry
+    is rejected first, since every comparison with NaN is false.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise StateValidationError(f"shape: expected (..., 4, 4), got {rho.shape}")
+    if not np.isfinite(rho).all():
+        bad = np.count_nonzero(~np.isfinite(rho))
+        raise StateValidationError(f"finite: {bad} of {rho.size} entries are NaN or infinite")
     gap = rho.conj().swapaxes(-1, -2)  # conj() copies, so subtract in place
     gap -= rho
     herm = np.abs(gap).max()
@@ -62,18 +64,10 @@ def unwrap_scalar(value):
     return np.asarray(value).item() if np.ndim(value) == 0 else value
 
 
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Local Bloch vectors ``x`` (first qubit), ``y`` (second) and the 3x3
-    correlation matrix ``t`` with entries Tr[rho (sigma_i x sigma_j)]."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: np.ndarray
-
-
-def decompose(rho: np.ndarray) -> BlochDecomposition:
-    """Bloch decomposition of a two-qubit state.
+def decompose(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch decomposition of a two-qubit state: the local Bloch vectors
+    ``x`` (first qubit) and ``y`` (second) and the 3x3 correlation matrix
+    ``t``, returned as the tuple ``(x, y, t)``.
 
     x_i = Tr[rho (sigma_i x I)], y_j = Tr[rho (I x sigma_j)],
     t_ij = Tr[rho (sigma_i x sigma_j)].
@@ -87,7 +81,7 @@ def decompose(rho: np.ndarray) -> BlochDecomposition:
     t = np.array(
         [[np.einsum("ikjl,ji,lk->", r4, sa, sb).real for sb in PAULI] for sa in PAULI]
     )
-    return BlochDecomposition(x=x, y=y, t=t)
+    return x, y, t
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

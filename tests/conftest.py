@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from fermicorr import ModelParams, PerturbativeAmplitudes, XStateCoefficients, amplitudes, oracles
+from fermicorr import ModelParams, amplitudes, oracles
+from fermicorr.amplitudes import PerturbativeAmplitudes, XStateCoefficients
 from fermicorr.states import IDENTITY_2, PAULI, state_from_json
 from fermicorr.cli import (
     AMPLITUDE_NAMES,
@@ -78,18 +79,19 @@ def coeffs_from_state(rho):
     )
 
 
-def reconstruct(b):
-    """Rebuild the 4x4 matrix from a Bloch decomposition.
+def reconstruct(bloch):
+    """Rebuild the 4x4 matrix from a Bloch decomposition ``(x, y, t)``.
 
     The output is Hermitian with unit trace by construction; positivity is
     not guaranteed and not checked.
     """
+    x, y, t = bloch
     rho = np.eye(4, dtype=complex)
     for i, s in enumerate(PAULI):
-        rho += b.x[i] * np.kron(s, IDENTITY_2)
-        rho += b.y[i] * np.kron(IDENTITY_2, s)
+        rho += x[i] * np.kron(s, IDENTITY_2)
+        rho += y[i] * np.kron(IDENTITY_2, s)
         for j, sj in enumerate(PAULI):
-            rho += b.t[i, j] * np.kron(s, sj)
+            rho += t[i, j] * np.kron(s, sj)
     return 0.25 * rho
 
 

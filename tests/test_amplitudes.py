@@ -8,17 +8,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from fermicorr import (
-    ModelParams,
-    OutOfRegimeError,
-    PerturbativeAmplitudes,
-    assemble,
-    compute_amplitudes,
-    two_point,
-    validate_state,
-)
+from fermicorr import ModelParams, OutOfRegimeError, assemble, compute_amplitudes
+from fermicorr.amplitudes import PerturbativeAmplitudes, two_point
 from fermicorr.cli import SWEEP_HEADER
 from fermicorr.oracles import mode_sum_amplitudes
+from fermicorr.states import validate_state
 
 from conftest import double_panel_order, halve_mode_panel_width
 

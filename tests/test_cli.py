@@ -11,19 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicorr import (
-    DirectionGrid,
-    ModelParams,
-    amplitudes,
-    assemble,
-    bell_chsh,
-    cli,
-    compute_amplitudes,
-    connected_correlation_xstate,
-    negativity_xstate,
-    report,
-    sqrt_discord_xstate,
-)
+from fermicorr import ModelParams, amplitudes, assemble, cli, compute_amplitudes, report
 from fermicorr.cli import (
     DEFAULT_COUPLINGS,
     DEFAULT_R_BAR,
@@ -39,6 +27,13 @@ from fermicorr.cli import (
     state_dump,
     write_csv,
 )
+from fermicorr.measures import (
+    bell_chsh,
+    connected_correlation_xstate,
+    negativity_xstate,
+    sqrt_discord_xstate,
+)
+from fermicorr.oracles import DirectionGrid
 
 from conftest import load_state_dump, sweep_rows
 
@@ -105,6 +100,18 @@ def test_sweep_csv_deterministic(tmp_path):
     write_csv(path_a, SWEEP_HEADER, run_sweep(spec))
     write_csv(path_b, SWEEP_HEADER, run_sweep(spec))
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_sweep_csv_blocks_join_seamlessly(tmp_path, monkeypatch, default_sweep):
+    # the default sweep's 1203 rows fit one block; 7-row blocks split them
+    # into 172, the last one short
+    columns = run_sweep(default_sweep["spec"])
+    path_one, path_many = tmp_path / "one.csv", tmp_path / "many.csv"
+    write_csv(path_one, SWEEP_HEADER, columns)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+    write_csv(path_many, SWEEP_HEADER, columns)
+    assert len(columns["xi"]) == 1203
+    assert path_many.read_bytes() == path_one.read_bytes()
 
 
 def test_sweep_csv_layout(tmp_path):

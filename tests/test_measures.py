@@ -6,26 +6,27 @@ import numpy as np
 import pytest
 
 from fermicorr import (
-    BELL_TSIRELSON,
     ModelParams,
-    XStateCoefficients,
     assemble,
-    bell_chsh,
-    bell_opt,
     compute_amplitudes,
     connected_correlation,
-    connected_correlation_xstate,
-    decompose,
     geometric_discord,
     measures,
     negativity,
-    negativity_xstate,
-    partial_transpose,
     random_state,
     report,
-    sqrt_discord_xstate,
     states,
 )
+from fermicorr.amplitudes import XStateCoefficients
+from fermicorr.measures import (
+    BELL_TSIRELSON,
+    bell_chsh,
+    bell_opt,
+    connected_correlation_xstate,
+    negativity_xstate,
+    sqrt_discord_xstate,
+)
+from fermicorr.states import decompose, partial_transpose
 
 from conftest import bell_projector, coeffs_from_state
 
@@ -284,8 +285,8 @@ def _closed_vs_generic(coupling, xi):
     p = ModelParams(r_bar=R_BAR, coupling=coupling)
     amps = compute_amplitudes(p, xi)
     coeffs, rho = assemble(amps)
-    b = decompose(rho)
-    w = b.t - np.outer(b.x, b.y)
+    x, y, t = decompose(rho)
+    w = t - np.outer(x, y)
     equatorial = 2.0 * (abs(amps.exchange) + abs(amps.pair_coherence))
     return {
         "negativity": abs(negativity_xstate(coeffs) - negativity(rho)),

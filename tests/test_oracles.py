@@ -6,20 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fermicorr import (
-    DirectionGrid,
-    bell_opt,
-    chsh_gridopt,
-    connected_correlation,
-    discord_bruteforce,
-    geometric_discord,
-    maxcorr_bruteforce,
-    negativity,
-    negativity_eig,
-    random_state,
-)
+from fermicorr import connected_correlation, geometric_discord, negativity, random_state
 from fermicorr.cli import oracle_check
+from fermicorr.measures import bell_opt
 from fermicorr.oracles import (
+    DirectionGrid,
     _antipodal_half,
     _chsh_value,
     _measurement_residual,
@@ -27,6 +18,10 @@ from fermicorr.oracles import (
     _pair_covariance,
     _residual_form,
     _search,
+    chsh_gridopt,
+    discord_bruteforce,
+    maxcorr_bruteforce,
+    negativity_eig,
 )
 from fermicorr.states import IDENTITY_2, PAULI
 

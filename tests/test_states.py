@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from fermicorr import (
-    BlochDecomposition,
+from fermicorr import connected_correlation, geometric_discord, negativity
+from fermicorr.states import (
     StateValidationError,
     decompose,
     partial_transpose,
@@ -19,27 +19,27 @@ from conftest import bell_projector, purity, reconstruct
 
 
 def test_decompose_maximally_mixed():
-    b = decompose(np.eye(4, dtype=complex) / 4.0)
-    assert np.allclose(b.x, 0.0, atol=1e-14)
-    assert np.allclose(b.y, 0.0, atol=1e-14)
-    assert np.allclose(b.t, 0.0, atol=1e-14)
+    x, y, t = decompose(np.eye(4, dtype=complex) / 4.0)
+    assert x.shape == y.shape == (3,) and t.shape == (3, 3)
+    assert np.allclose(x, 0.0, atol=1e-14)
+    assert np.allclose(y, 0.0, atol=1e-14)
+    assert np.allclose(t, 0.0, atol=1e-14)
 
 
 def test_decompose_eg_projector():
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 1.0  # |eg><eg|
-    b = decompose(rho)
-    assert np.allclose(b.x, [0.0, 0.0, 1.0], atol=1e-14)
-    assert np.allclose(b.y, [0.0, 0.0, -1.0], atol=1e-14)
-    expected_t = np.diag([0.0, 0.0, -1.0])
-    assert np.allclose(b.t, expected_t, atol=1e-14)
+    x, y, t = decompose(rho)
+    assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(y, [0.0, 0.0, -1.0], atol=1e-14)
+    assert np.allclose(t, np.diag([0.0, 0.0, -1.0]), atol=1e-14)
 
 
 def test_decompose_bell_projector():
-    b = decompose(bell_projector())
-    assert np.allclose(b.x, 0.0, atol=1e-14)
-    assert np.allclose(b.y, 0.0, atol=1e-14)
-    assert np.allclose(b.t, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
+    x, y, t = decompose(bell_projector())
+    assert np.allclose(x, 0.0, atol=1e-14)
+    assert np.allclose(y, 0.0, atol=1e-14)
+    assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
 
 
 def test_decompose_rejects_non_hermitian():
@@ -77,13 +77,29 @@ def test_validate_state_stack():
         validate_state(stack[..., :3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, np.nan * 1j], ids=["nan", "inf", "nan_imag"])
+def test_validate_rejects_non_finite_entries(bad):
+    # every comparison with NaN is false, so without the finite check a NaN
+    # pair passes hermiticity, trace and positivity and numpy fails later
+    rho = random_state(3, "mixed")
+    rho[0, 1] = rho[1, 0] = bad
+    for measure in (validate_state, decompose, geometric_discord, negativity,
+                    connected_correlation):
+        with pytest.raises(StateValidationError, match=r"^finite: 2 of 16 entries are NaN or infinite$"):
+            measure(rho)
+    stack = np.stack([random_state(seed, "xshape") for seed in range(4)])
+    stack[2, 3, 3] = bad
+    with pytest.raises(StateValidationError, match=r"^finite: 1 of 64 entries are NaN or infinite$"):
+        validate_state(stack)
+
+
 def test_reconstruct_zero_bloch_is_maximally_mixed():
-    b = BlochDecomposition(x=np.zeros(3), y=np.zeros(3), t=np.zeros((3, 3)))
+    b = (np.zeros(3), np.zeros(3), np.zeros((3, 3)))
     assert np.allclose(reconstruct(b), np.eye(4) / 4.0, atol=1e-15)
 
 
 def test_reconstruct_bell_correlations():
-    b = BlochDecomposition(x=np.zeros(3), y=np.zeros(3), t=np.diag([1.0, -1.0, 1.0]))
+    b = (np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0]))
     assert np.allclose(reconstruct(b), bell_projector(), atol=1e-15)
 
 
@@ -97,18 +113,16 @@ def test_roundtrip_random_states():
 def test_bloch_roundtrip_is_identity():
     for seed in range(20):
         b = decompose(random_state(seed, "mixed"))
-        b2 = decompose(reconstruct(b))
-        assert np.max(np.abs(b.x - b2.x)) < 1e-12
-        assert np.max(np.abs(b.y - b2.y)) < 1e-12
-        assert np.max(np.abs(b.t - b2.t)) < 1e-12
+        for part, back in zip(b, decompose(reconstruct(b))):
+            assert np.max(np.abs(part - back)) < 1e-12
 
 
 def test_bloch_norm_identity():
     # Tr rho^2 = (1 + |x|^2 + |y|^2 + sum t_ij^2)/4
     for seed in range(100):
         rho = random_state(seed, "mixed")
-        b = decompose(rho)
-        rhs = 0.25 * (1.0 + b.x @ b.x + b.y @ b.y + np.sum(b.t**2))
+        x, y, t = decompose(rho)
+        rhs = 0.25 * (1.0 + x @ x + y @ y + np.sum(t**2))
         assert abs(purity(rho) - rhs) < 1e-10
 
 
