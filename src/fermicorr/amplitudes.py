@@ -7,21 +7,16 @@ qubit-line coupling K, and ``cutoff`` the UV scale omega_c/Omega of the
 exponential mode regularization exp(-k/omega_c).
 
 All five amplitudes are double-time integrals of the regularized two-point
-function, reduced exactly to the time difference and evaluated with one
-composite Gauss-Legendre rule graded geometrically toward the eps-wide
-light-cone peak, with capped widths far from it. Every panel takes 24 nodes;
-each lies about one width from the pole, so the rule's accuracy does not
-depend on the cutoff. The mode-sum evaluation of the emission weights and the
-pair coherence lives in :mod:`fermicorr.oracles` as an independent check.
+function. They reduce exactly to integrals over the time difference, each
+with an antiderivative in the exponential integral E1: a closed form whose
+cost grows with neither time nor cutoff. Where tau <= 1/cutoff that form
+cancels most of its digits, and one Gauss-Legendre panel sums the integrals
+instead. A mode sum in :mod:`fermicorr.oracles` checks them independently.
 
-A whole xi grid is evaluated in one pass. The integrands are split into
-node moments that do not depend on xi, so every xi sums a prefix of one
-shared set of graded panels plus one tail panel of its own; the panels are
-evaluated a fixed number of nodes at a time, so memory does not grow with the
-grid. Each amplitude is linear (or, for the two-photon weight, quadratic) in
-the coupling, and the amplitudes carry the coupling they were scaled to, so
-a sweep computes the coupling-free integrals once, rescales them to an
-(xi, coupling) stack and assembles that stack in one call.
+Each amplitude is linear (or, for the two-photon weight, quadratic) in the
+coupling, and the amplitudes carry the coupling they were scaled to, so a
+sweep computes the coupling-free integrals of its whole xi grid in one pass,
+rescales them to an (xi, coupling) stack and assembles that stack in one call.
 """
 from __future__ import annotations
 
@@ -35,15 +30,12 @@ from .states import POSITIVITY_ATOL, unwrap_scalar
 
 DEFAULT_CUTOFF = 300.0
 
-# Panels of the time-difference rule end at pole +- eps * _PANEL_GROWTH**k,
-# and each is at most _PANEL_CAP wide, about a third of the period of cos(d).
-_PANEL_GROWTH = 4.0
-_PANEL_CAP = 2.0
-# Gauss-Legendre nodes and weights of every panel.
+# Power-series terms of E1 for |z| <= 4 and continued-fraction levels beyond:
+# both reach rounding at the arguments Re z = +-1/cutoff used here.
+_SERIES_TERMS = 30
+_FRACTION_DEPTH = 40
+# Nodes and weights of the Gauss-Legendre panel for tau <= 1/cutoff.
 _GAUSS = leggauss(24)
-# Time-difference nodes per two_point evaluation: a default sweep fits in one
-# such block per kernel, and a longer grid takes more of them, not larger ones.
-_BLOCK_NODES = 1 << 14
 
 
 class OutOfRegimeError(ValueError):
@@ -131,74 +123,87 @@ def two_point(dx, dt, cutoff: float):
     return (eps + 1j * (dt - dx)) ** -2.0 + (eps + 1j * (dt + dx)) ** -2.0
 
 
-def _integrate(tau: np.ndarray, pole: float, cutoff: float, moments):
-    """Per-tau sums of the tau-free node ``moments(d, wd)`` over a composite
-    Gauss-Legendre rule on [0, tau], for every tau > 0 of an array.
+def _exp1(z):
+    """Exponential integral E1 of a complex array on the principal branch: the
+    series -gamma - ln z + sum_k (-1)^(k+1) z^k / (k k!) for |z| <= 4, and the
+    continued fraction e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) beyond."""
+    out = np.empty_like(z)
+    near = np.abs(z) <= 4.0
+    if near.any():
+        x, acc = z[near], 0.0
+        for k in range(_SERIES_TERMS, 0, -1):  # Horner
+            acc *= x
+            acc += (-1.0) ** (k + 1) / (k * math.factorial(k))
+        out[near] = x * acc - np.euler_gamma - np.log(x)
+    if not near.all():
+        x, tail = z[~near], 0.0
+        for k in range(_FRACTION_DEPTH, 0, -1):
+            tail = k * k / (x + (2 * k + 1) - tail)
+        out[~near] = np.exp(-x) / (x + 1.0 - tail)
+    return out
 
-    The two-point function peaks in an eps-wide window at ``pole`` (the
-    light-cone separation, or 0 for the equal-position kernel). Cuts at 0, the
-    pole and pole +- eps*4**k make panel widths grow geometrically away from
-    the peak, until they reach _PANEL_CAP; from there on each offset grows by
-    the cap. Each panel then sits about one width from the complex pole of the
-    integrand and spans at most about a third of the period of cos(d), so one
-    Gauss order, _GAUSS, converges at the same rate on every panel, at any
-    cutoff and at late times. The cuts below tau.max() are shared by the whole
-    grid: each tau's rule is the shared panels up to its last cut below it
-    plus one tail panel to tau itself, so each tau sums a prefix of the shared
-    panel sums and its own tail. All panels are evaluated _BLOCK_NODES nodes
-    at a time as (panels, order) arrays. Returns one array of per-tau sums per
-    moment.
+
+def _closed_sums(tau: np.ndarray, r_bar: float, cutoff: float):
+    """Integrals over d in [0, tau] of cos d w, d cos d w, sin d Re w (w the
+    two-point function at separation r_bar), cos d Re w0, d cos d Re w0,
+    sin d Im w0 and d sin d Im w0 (w0 at 0); the last five as real parts.
+
+    w is the sum of q^-2, q = eps + i(d - r0), over the poles r0 = +-r_bar,
+    and w0 is 2 q^-2 at r0 = 0. With a = r0 + i eps, d = a - iq, and the
+    integrals of d^n e^{isd} q^-2 (s = +-1) have the antiderivatives
+    -i e^{isa} B (n = 0) and -i e^{isa} (a B - i Ei(sq)) (n = 1), with
+    B = s Ei(sq) - e^{sq}/q. Ei(sq) is -E1(-sq), continued for s = +1 across
+    the cut that -q meets at d = r0: plus i pi sgn(Im q), real where q is.
+    Cosine and sine integrals are the half sum and difference over s, and
+    every factor but w or w0 is real.
     """
-    steps, end = [1.0 / cutoff], tau.max()  # the first offset is eps
-    while steps[-1] < max(pole, end - pole):
-        steps.append(min(steps[-1] * _PANEL_GROWTH, steps[-1] + _PANEL_CAP))
-    steps = np.array(steps)
-    cuts = np.concatenate(([0.0, pole], pole - steps, pole + steps))
-    cuts = np.sort(cuts[(cuts >= 0.0) & (cuts < end)])
-    cuts = cuts[np.concatenate(([True], np.diff(cuts) > 0.0))]  # each cut once
-    last = np.searchsorted(cuts, tau) - 1  # each tau's last cut below it
-    lower = np.concatenate((cuts[:-1], cuts[last]))[:, None]
-    half = 0.5 * (np.concatenate((cuts[1:], tau))[:, None] - lower)
+    eps = 1.0 / cutoff
+    s = np.repeat([1.0, -1.0], 3)[:, None]  # rows: (s, r0) for r0 = r_bar, -r_bar, 0
+    a = np.tile([r_bar, -r_bar, 0.0], 2)[:, None] + 1j * eps
+    q = eps + 1j * (np.concatenate(([0.0], tau)) - a.real)  # columns: d = 0, then tau
+    ei = -_exp1(-s * q)
+    ei = np.where((s > 0.0) & (q.imag == 0.0), ei.real,
+                  ei + 1j * math.pi * (s > 0.0) * np.sign(q.imag))
+    b = s * ei - np.exp(s * q) / q
+    k = -1j * np.exp(1j * s * a) * np.stack((b, a * b - 1j * ei))  # (n, row, d)
+    k = (k[..., 1:] - k[..., :1]).reshape(2, 2, 3, tau.size)  # (n, s, r0, tau)
+    k = np.stack((k[:, :, 0] + k[:, :, 1], 2.0 * k[:, :, 2]))  # (w or w0, n, s, tau)
+    cos, sin = 0.5 * (k[:, :, 0] + k[:, :, 1]), -0.5j * (k[:, :, 0] - k[:, :, 1])
+    return cos[0, 0], cos[0, 1], sin[0, 0], cos[1, 0], cos[1, 1], sin[1, 0].imag, sin[1, 1].imag
+
+
+def _panel_sums(tau: np.ndarray, r_bar: float, cutoff: float):
+    """The integrals of :func:`_closed_sums` on one Gauss-Legendre panel, for
+    tau <= eps: the panel is no wider than its distance eps to every pole, so
+    it converges to rounding. At tau = 0 every weight, so every sum, is 0."""
     x, w = _GAUSS
-    step = _BLOCK_NODES // x.size  # panels per block
-    blocks = []
-    for start in range(0, half.size, step):
-        h = half[start:start + step]
-        d = lower[start:start + step] + h * (x + 1.0)
-        blocks.append([v.sum(axis=1) for v in moments(d, h * w)])
-    shared = cuts.size - 1
-    return [np.concatenate(([0.0], np.cumsum(v[:shared])))[last] + v[shared:]
-            for v in map(np.concatenate, zip(*blocks))]
+    half = 0.5 * tau[:, None]
+    d, wd = half * (x + 1.0), half * w
+    wr, w0 = wd * two_point(r_bar, d, cutoff), wd * two_point(0.0, d, cutoff)
+    f, even, odd = np.cos(d) * wr, np.cos(d) * w0.real, np.sin(d) * w0.imag
+    return [v.sum(axis=1) for v in (f, d * f, np.sin(d) * wr, even, d * even, odd, d * odd)]
 
 
 def _unit_integrals(tau: np.ndarray, r_bar: float, cutoff: float):
     """Coupling-free double-time integrals, reduced to the difference variable.
 
     For integrands f(t1 - t2) on the square [0, tau]^2 the exact reduction is
-    int_{-tau}^{tau} (tau - |d|) f(d) dd, taken as tau * sum(f) - sum(d f) so
-    that the node moments do not depend on tau; for the pair amplitude the
-    sum variable integrates in closed form, to
-    2i e^{i tau} (sin tau sum(Re w cos d) - cos tau sum(Re w sin d)). The
-    emission weights share the zero-separation moments of re_a, so
-    u2 + v2 = -2 re_a moment by moment.
-    Returns arrays (exchange, re_a, pair, u2, v2) at unit coupling, tau > 0.
+    int_{-tau}^{tau} (tau - |d|) f(d) dd, taken as tau * int f - int d f;
+    for the pair amplitude the sum variable integrates in closed form, to
+    2i e^{i tau} (sin tau int Re w cos d - cos tau int Re w sin d). The
+    emission weights share the zero-separation integrals of re_a, so
+    u2 + v2 = -2 re_a. Returns (exchange, re_a, pair, u2, v2) at unit coupling.
     """
-    def separated(d, wd):
-        w = wd * two_point(r_bar, d, cutoff)
-        f = np.cos(d) * w
-        return f, d * f, np.sin(d) * w.real
-
-    def local(d, wd):
-        w = wd * two_point(0.0, d, cutoff)
-        even, odd = np.cos(d) * w.real, np.sin(d) * w.imag
-        return even, d * even, odd, d * odd
-
-    f, df, sin_re = _integrate(tau, r_bar, cutoff, separated)
-    even, d_even, odd, d_odd = _integrate(tau, 0.0, cutoff, local)
+    early = tau <= 1.0 / cutoff
+    sums = np.empty((7, tau.size), complex)
+    sums[:, early] = _panel_sums(tau[early], r_bar, cutoff)
+    sums[:, ~early] = _closed_sums(tau[~early], r_bar, cutoff)
+    (f, df), (sin_re, even, d_even, odd, d_odd) = sums[:2], sums[2:].real
+    re_a = 0.5 * (d_even - tau * even)  # +0.0, not -0.0, at tau = 0
     even, odd = tau * even - d_even, tau * odd - d_odd
     turn = np.exp(1j * tau)
-    pair = -0.5 * turn * (turn.imag * f.real - turn.real * sin_re)
-    return 0.5 * (tau * f - df), -0.5 * even, pair, 0.5 * (even - odd), 0.5 * (even + odd)
+    pair = 0.5 * turn * (turn.real * sin_re - turn.imag * f.real)
+    return 0.5 * (tau * f - df), re_a, pair, 0.5 * (even - odd), 0.5 * (even + odd)
 
 
 def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
@@ -225,13 +230,7 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
     bad = xi[~(np.isfinite(xi) & (xi >= 0))]
     if bad.size:
         raise ValueError(f"xi must be finite and >= 0, got {bad[0]}")
-    tau = xi.reshape(-1) * p.r_bar
-    live = tau > 0.0
-    unit = [np.zeros(tau.shape, t) for t in (complex, float, complex, float, float)]
-    if live.any():
-        for out, value in zip(unit, _unit_integrals(tau[live], p.r_bar, p.cutoff)):
-            out[live] = value
-    ex, re_a, pair, u2, v2 = unit
+    ex, re_a, pair, u2, v2 = _unit_integrals(xi.reshape(-1) * p.r_bar, p.r_bar, p.cutoff)
     g2 = u2 * v2 + np.abs(pair) ** 2
     values = (unwrap_scalar(a.reshape(xi.shape)) for a in (xi, re_a, ex, u2, v2, pair, g2))
     amps = PerturbativeAmplitudes(*values, coupling=1.0)
@@ -258,7 +257,7 @@ def assemble(amps: PerturbativeAmplitudes) -> tuple[XStateCoefficients, np.ndarr
             raise ValueError(f"amplitude {name} must be finite, got {bad[0]}")
     rho11 = amps.v2
     rho22 = 1.0 + 2.0 * amps.re_a
-    rho33 = np.abs(amps.exchange) ** 2 + amps.g2
+    rho33 = np.square(np.abs(amps.exchange)) + amps.g2
     rho44 = amps.u2
     rho14 = np.conj(amps.pair_coherence)
     rho23 = np.conj(amps.exchange)

@@ -75,7 +75,7 @@ class SweepSpec:
     """A (xi, coupling) sweep: grid ranges, coupling list, separation and cutoff.
 
     The couplings live in ``couplings`` alone; ``params`` gives the unit
-    coupling that the sweep's one quadrature pass runs at.
+    coupling that the sweep's one amplitude pass runs at.
     """
 
     xi_min: float
@@ -125,7 +125,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     """Sweep columns keyed by SWEEP_HEADER name, with rows ordered by
     (coupling, xi) ascending; deterministic.
 
-    The coupling-free quadrature runs once over the whole xi grid and is
+    The coupling-free amplitudes are taken once over the whole xi grid and
     rescaled to an (xi, coupling) stack, which is assembled and measured in
     one call each; ``assemble``'s regime check is the stack's positivity
     check. When points are out of regime, the error names the first failing

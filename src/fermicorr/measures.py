@@ -113,9 +113,10 @@ def bell_opt(coeffs: XStateCoefficients) -> float:
     2 sqrt(u1 + max(u2, u3)) with u1 = 4(|rho14| + |rho23|)^2,
     u2 = (rho11 + rho44 - rho22 - rho33)^2, u3 = 4(|rho14| - |rho23|)^2."""
     r11, r22, r33, r44, r14, r23 = _normalized(coeffs)
-    u1 = 4.0 * (np.abs(r14) + np.abs(r23)) ** 2
-    u2 = (r11 + r44 - r22 - r33) ** 2
-    u3 = 4.0 * (np.abs(r14) - np.abs(r23)) ** 2
+    # np.square: a Python float's ** 2 can round apart from numpy's x * x
+    u1 = 4.0 * np.square(np.abs(r14) + np.abs(r23))
+    u2 = np.square(r11 + r44 - r22 - r33)
+    u3 = 4.0 * np.square(np.abs(r14) - np.abs(r23))
     return unwrap_scalar(2.0 * np.sqrt(u1 + np.maximum(u2, u3)))
 
 

@@ -35,7 +35,7 @@ symmetric in b and b', takes about the triangle b <= b' of each block.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
-time-difference quadrature of :mod:`fermicorr.amplitudes`.
+time-difference closed form of :mod:`fermicorr.amplitudes`.
 """
 from __future__ import annotations
 
@@ -308,8 +308,8 @@ def mode_sum_amplitudes(p: ModelParams, xi: float) -> tuple[float, float, comple
     counter-rotating and rotating emission amplitudes. One fixed Gauss rule
     sums them: 8 nodes on each panel of width 0.3 over (0, 40*cutoff).
     This is an independent route to the values that
-    :func:`fermicorr.amplitudes.compute_amplitudes` gets by time-difference
-    quadrature.
+    :func:`fermicorr.amplitudes.compute_amplitudes` gets in closed form over
+    time differences.
     """
     tau = xi * p.r_bar
     if tau <= 0.0:

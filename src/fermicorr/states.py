@@ -19,7 +19,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 # Assembled perturbative states can carry tiny negative eigenvalues from
-# quadrature error; a hard zero would reject physically fine states.
+# rounding error; a hard zero would reject physically fine states.
 POSITIVITY_ATOL = 1e-10
 
 

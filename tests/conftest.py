@@ -42,8 +42,11 @@ def default_sweep():
     return {"spec": spec, "rows": rows, "elapsed": elapsed}
 
 
-def double_panel_order(monkeypatch):
-    """Give every quadrature panel twice its Gauss-Legendre nodes from now on."""
+def double_truncation(monkeypatch):
+    """From now on, take twice the E1 series terms and continued-fraction
+    levels, and twice the Gauss-Legendre nodes on the early-time panel."""
+    monkeypatch.setattr(amplitudes, "_SERIES_TERMS", 2 * amplitudes._SERIES_TERMS)
+    monkeypatch.setattr(amplitudes, "_FRACTION_DEPTH", 2 * amplitudes._FRACTION_DEPTH)
     monkeypatch.setattr(amplitudes, "_GAUSS", leggauss(2 * amplitudes._GAUSS[0].size))
 
 

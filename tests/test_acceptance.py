@@ -25,7 +25,7 @@ from fermicorr.measures import BELL_TSIRELSON, negativity_xstate, sqrt_discord_x
 from fermicorr.oracles import DirectionGrid, maxcorr_bruteforce, mode_sum_amplitudes
 from fermicorr.states import decompose
 
-from conftest import double_panel_order, sweep_block, sweep_rows
+from conftest import double_truncation, sweep_block, sweep_rows
 
 GRID_STEP = 0.005
 
@@ -226,15 +226,16 @@ def test_criterion_08_unitarity():
 
 
 def test_criterion_09_quadrature_convergence(monkeypatch):
-    """Panel-order doubling stability at several cutoffs plus the coupling
-    power laws."""
-    spots = np.array((0.2, 0.45, 0.7, 0.9, 1.0, 1.1, 1.35, 1.6, 1.8, 2.0))
+    """Stability as the truncation doubles (E1 series terms 30 to 60,
+    continued-fraction levels 40 to 80, early-panel nodes 24 to 48) at several
+    cutoffs, on and off the early panel, plus the coupling power laws."""
+    spots = np.array((0.001, 0.2, 0.45, 0.7, 0.9, 1.0, 1.1, 1.35, 1.6, 1.8, 2.0, 40.0))
     fields = ("exchange", "re_a", "pair_coherence", "u2", "v2", "g2")
     params = [ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.04, cutoff=cutoff)
               for cutoff in (300.0, 1000.0, 3000.0)]
     base = [compute_amplitudes(p, spots) for p in params]
     with monkeypatch.context() as m:
-        double_panel_order(m)
+        double_truncation(m)
         doubled = [compute_amplitudes(p, spots) for p in params]
     worst = max(np.max(np.abs(getattr(a, name) - getattr(b, name)) / np.abs(getattr(b, name)))
                 for a, b in zip(base, doubled) for name in fields)
@@ -250,7 +251,7 @@ def test_criterion_09_quadrature_convergence(monkeypatch):
     ):
         scaling_ok &= abs(b / a - power) <= 0.05 * power
     ok = worst < 1e-4 and scaling_ok
-    _verdict(9, "quadrature convergence", ok,
+    _verdict(9, "truncation convergence", ok,
              f"max doubling change={worst:.1e}, scaling ok={scaling_ok}")
     assert ok
 
@@ -346,7 +347,18 @@ def test_criterion_11_micro_causality():
     (where the limit is 0 and im_X is a regularization leak) and after it.
     In the measures, at K = 0.02, dropping im_X moves the generic sqrt
     discord before the cone by a share that falls as cutoff^-2, and after it
-    by most of its value."""
+    by most of its value.
+
+    On the cone itself (tau = r) the integral ends at the pole, and there
+    the cutoff does not drop out. Near it, with s = d - r, the factor
+    (tau - d) cos d = -s cos r + O(s^2), and Re w = (eps^2 - s^2) /
+    (eps^2 + s^2)^2 tends to the Hadamard finite part of -1/s^2. Over
+    s in (-A, 0), u = s/eps turns int -s cos r Re w ds into
+    -cos r int u (1 - u^2)/(1 + u^2)^2 du = -cos r [ln(A cutoff) - 1] + o(1),
+    so re_X + (K/2) cos r ln(cutoff) tends to a constant. The same
+    substitution with Im w = -2 eps s / (eps^2 + s^2)^2 gives
+    2 cos r int_{-inf}^0 u^2/(1 + u^2)^2 du = (pi/2) cos r, so on the cone
+    im_X tends to (pi K/4) cos r, half its jump."""
     cutoffs = np.array((300.0, 1000.0, 3000.0, 1e4))
     grid = 0.125 * np.arange(1, 81)
     xi = np.append(grid[grid != 1.0], 0.9)  # off the cone, and 0.9 close before it
@@ -372,11 +384,21 @@ def test_criterion_11_micro_causality():
         share.append(np.abs(real - full) / full)
     share = np.array(share)
     fall = (share[:-1, :2] / share[1:, :2]).min()  # per decade of cutoff
+    log_moves, half_jump = [], []  # on the cone, per r_bar
+    for r_bar in (DEFAULT_R_BAR, 2.0, 5.0):
+        x = [compute_amplitudes(ModelParams(r_bar=r_bar, coupling=1.0, cutoff=cutoff),
+                                1.0).exchange for cutoff in (1e4, 1e5)]
+        law = [v.real + 0.5 * math.cos(r_bar) * math.log(c) for v, c in zip(x, (1e4, 1e5))]
+        log_moves.append(abs(law[1] - law[0]))
+        half_jump.append(abs(x[1].imag / (0.25 * math.pi * math.cos(r_bar)) - 1.0))
     ok = bool(spread[before].max() < 1e-3 and spread.max() < 2e-2
-              and fall >= 90.0 and share[:, 2].min() >= 0.5)
+              and fall >= 90.0 and share[:, 2].min() >= 0.5
+              and max(log_moves) <= 2e-4 and max(half_jump) <= 1e-3)
     _verdict(11, "micro-causality", ok,
              f"pre-cone cutoff*im_X spread={spread[before].max():.1e}, "
              f"cutoff*(im_X - limit) spread={spread.max():.1e}, "
              f"pre-cone sqrtD share of im_X falls {fall:.0f}x per decade, "
-             f"post-cone share={share[:, 2].min():.2f}")
+             f"post-cone share={share[:, 2].min():.2f}, "
+             f"on-cone log law moves {max(log_moves):.1e} K, "
+             f"im_X off half its jump by {max(half_jump):.1e}")
     assert ok

@@ -1,7 +1,8 @@
-"""Amplitude quadrature: the regularized two-point function, the second-order
+"""Amplitudes: the regularized two-point function, the closed-form second-order
 amplitudes, their cross-route consistency and the X-state assembly."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -9,12 +10,12 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from fermicorr import ModelParams, OutOfRegimeError, assemble, compute_amplitudes
-from fermicorr.amplitudes import PerturbativeAmplitudes, two_point
+from fermicorr.amplitudes import PerturbativeAmplitudes, _exp1, two_point
 from fermicorr.cli import SWEEP_HEADER
 from fermicorr.oracles import mode_sum_amplitudes
 from fermicorr.states import validate_state
 
-from conftest import double_panel_order, halve_mode_panel_width
+from conftest import double_truncation, halve_mode_panel_width
 
 R_BAR = math.pi / 4.0
 
@@ -72,20 +73,22 @@ def test_exchange_rejects_negative_time():
 
 
 def test_exchange_quadrature_refinement(monkeypatch):
+    # on the early panel (xi = 0.02 puts tau under 1/cutoff) and off it
     p = params(coupling=0.1, cutoff=50.0)
-    a = compute_amplitudes(p, 2.0).exchange
-    double_panel_order(monkeypatch)
-    b = compute_amplitudes(p, 2.0).exchange
-    assert abs(a - b) / abs(b) < 1e-5
+    xi = np.array([0.02, 2.0])
+    a = compute_amplitudes(p, xi).exchange
+    double_truncation(monkeypatch)
+    b = compute_amplitudes(p, xi).exchange
+    assert np.all(np.abs(a - b) / np.abs(b) < 1e-12)
 
 
-def test_far_panels_converge_at_late_times(monkeypatch):
-    # panels far from the pole stop growing at a fixed width, so the
-    # oscillating factors stay resolved however late the time
+def test_closed_form_converges_at_late_times(monkeypatch):
+    # the continued fraction takes over from the series far from the poles,
+    # and its depth is converged however late the time
     p = ModelParams(r_bar=5.0, coupling=0.0005)
-    xi = np.array([30.0, 40.0])
+    xi = np.array([30.0, 40.0, 1e4])
     a = compute_amplitudes(p, xi)
-    double_panel_order(monkeypatch)
+    double_truncation(monkeypatch)
     b = compute_amplitudes(p, xi)
     for name in ("re_a", "exchange", "u2", "v2", "pair_coherence"):
         gap, size = np.abs(getattr(a, name) - getattr(b, name)), np.abs(getattr(b, name))
@@ -186,14 +189,85 @@ def _exponential_integral_amplitudes(r_bar, cutoff, xi):
 @pytest.mark.parametrize("cutoff", [50.0, 300.0, 1000.0, 3000.0, 1e4])
 @pytest.mark.parametrize("r_bar", [R_BAR, 5.0], ids=["r_bar=pi/4", "r_bar=5"])
 def test_amplitudes_match_exponential_integral_oracle(r_bar, cutoff):
-    # measured worst 2.2e-10 of the largest amplitude (r_bar = 5, cutoff 1e4);
-    # L alone is off by up to 4e-8 relative there, so the bound is per point
+    # the same closed form on scipy's E1 and in the tests' own algebra:
+    # measured worst 1.2e-14 of the point's largest amplitude (cutoff 3000)
     xi = np.concatenate((np.linspace(0.01, 2.0, 200), [5.0, 10.0, 20.0, 30.0, 40.0]))
     amps = compute_amplitudes(ModelParams(r_bar=r_bar, coupling=1.0, cutoff=cutoff), xi)
     exact = _exponential_integral_amplitudes(r_bar, cutoff, xi)
     gap = np.max([np.abs(getattr(amps, name) - value) for name, value in exact.items()], axis=0)
     size = np.max([np.abs(value) for value in exact.values()], axis=0)
-    assert np.all(gap <= 1e-9 * size), (xi[np.argmax(gap / size)], np.max(gap / size))
+    assert np.all(gap <= 1e-12 * size), (xi[np.argmax(gap / size)], np.max(gap / size))
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+def test_exp1_matches_scipy(cutoff):
+    # the arguments of the closed form: Re z = +-1/cutoff, out to |Im z| = 1e7,
+    # and on both sides of |z| = 4, where the series hands over to the
+    # continued fraction (measured worst 1.7e-14)
+    far = np.geomspace(1e-9, 1e7, 400)
+    edge = np.sqrt(16.0 - cutoff**-2) * np.array([1.0 - 1e-12, 1.0 + 1e-12])  # |z| = 4
+    im = np.concatenate((np.linspace(-4.5, 4.5, 901), far, -far, edge))
+    z = np.concatenate((1.0 / cutoff + 1j * im, -1.0 / cutoff + 1j * im))
+    assert np.any(np.abs(z) <= 4.0) and np.any(np.abs(z) > 4.0)
+    gap = np.abs(_exp1(z) - exp1(z)) / np.abs(exp1(z))
+    assert gap.max() <= 1e-13, z[np.argmax(gap)]
+
+
+def _mpmath_amplitudes(r_bar, cutoff, tau):
+    """Independent judge: the five amplitudes at unit coupling as the
+    difference-variable integrals of ``_unit_integrals``, by mpmath.quad at
+    30 digits, split at 0, eps, r_bar +- eps and tau."""
+    with mpmath.workdps(30):
+        r, eps, tau = mpmath.mpf(r_bar), 1 / mpmath.mpf(cutoff), mpmath.mpf(tau)
+        cuts = sorted({mpmath.mpf(0), tau} | {c for c in (eps, r - eps, r + eps) if 0 < c < tau})
+
+        def w(x, d):
+            return (eps + 1j * (d - x)) ** -2 + (eps + 1j * (d + x)) ** -2
+
+        def integral(f):
+            return mpmath.quad(f, cuts)
+
+        exchange = integral(lambda d: (tau - d) * mpmath.cos(d) * w(r, d)) / 2
+        even = integral(lambda d: (tau - d) * mpmath.cos(d) * w(0, d).real)
+        odd = integral(lambda d: (tau - d) * mpmath.sin(d) * w(0, d).imag)
+        cos_re = integral(lambda d: mpmath.cos(d) * w(r, d).real)
+        sin_re = integral(lambda d: mpmath.sin(d) * w(r, d).real)
+        pair = -mpmath.exp(1j * tau) * (mpmath.sin(tau) * cos_re - mpmath.cos(tau) * sin_re) / 2
+        values = {"exchange": exchange, "re_a": -even / 2, "pair_coherence": pair,
+                  "u2": (even - odd) / 2, "v2": (even + odd) / 2}
+        return {name: complex(value) for name, value in values.items()}
+
+
+@pytest.mark.parametrize("r_bar, cutoff, tau", [
+    (0.01, 10.0, 1e-9),  # tau = 1e-7 r_bar, deep in the early panel
+    (5.0, 300.0, 5e-7),
+    (R_BAR, 300.0, 1.0 / 300.0),  # tau = eps, the panel's last point
+    (R_BAR, 300.0, (1.0 + 1e-9) / 300.0),  # just past it, the closed form's first
+    (0.01, 1e4, 0.01),  # on the cone
+    (R_BAR, 1e4, R_BAR),
+    (5.0, 1e4, 5.0),  # measured worst: 2.7e-13
+    (R_BAR, 10.0, 2.0 * R_BAR),
+])
+def test_amplitudes_match_mpmath(r_bar, cutoff, tau):
+    amps = compute_amplitudes(ModelParams(r_bar=r_bar, coupling=1.0, cutoff=cutoff), tau / r_bar)
+    exact = _mpmath_amplitudes(r_bar, cutoff, tau)
+    size = max(abs(value) for value in exact.values())
+    gap = {name: abs(getattr(amps, name) - value) / size for name, value in exact.items()}
+    assert max(gap.values()) <= 1e-12, gap
+
+
+def test_late_time_golden_rule_rate():
+    # at late times the norm loss grows at the golden-rule rate of the
+    # regularized field at the qubit frequency: the spectral weight
+    # k e^{-k/cutoff} at k = 1 gives re_A / (K tau) -> -(pi/2) e^{-1/cutoff},
+    # with a gap that shrinks as 1/xi
+    xi = np.array([1e4, 1e5, 1e6])
+    for cutoff in (50.0, 300.0):
+        amps = compute_amplitudes(ModelParams(r_bar=R_BAR, coupling=1.0, cutoff=cutoff), xi)
+        rate = -0.5 * math.pi * math.exp(-1.0 / cutoff)
+        gap = np.abs(amps.re_a / (xi * R_BAR) - rate)
+        assert np.all(np.isfinite(gap)) and gap[-1] <= 1e-5 * abs(rate), (cutoff, gap)
+        assert np.all(gap[1:] <= 0.2 * gap[:-1]), (cutoff, gap)
 
 
 def test_single_photon_dual_route():
@@ -228,7 +302,7 @@ def test_radiative_correction_is_negative():
 
 def test_unitarity_residual():
     # norm conservation ties the emission weights (from the mode sum) to the
-    # radiative correction (from the time-difference quadrature)
+    # radiative correction (from the time-difference closed form)
     for coupling in (0.05, 0.2):
         p = params(coupling=coupling, cutoff=50.0)
         for xi in np.linspace(0.0, 2.0, 11):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicorr import ModelParams, amplitudes, assemble, cli, compute_amplitudes, report
+from fermicorr import ModelParams, assemble, cli, compute_amplitudes, report
 from fermicorr.cli import (
     DEFAULT_COUPLINGS,
     DEFAULT_R_BAR,
@@ -68,19 +68,6 @@ def test_sweep_spec_validation():
         SweepSpec(xi_min=0.0, xi_max=1.0, xi_steps=5, couplings=(0.1,), r_bar=R_BAR, cutoff=5.0)
 
 
-def two_point_sizes(monkeypatch):
-    """Sizes of the time arrays passed to two_point from now on."""
-    sizes = []
-    kernel = amplitudes.two_point
-
-    def counted(dx, dt, cutoff):
-        sizes.append(np.size(dt))
-        return kernel(dx, dt, cutoff)
-
-    monkeypatch.setattr(amplitudes, "two_point", counted)
-    return sizes
-
-
 def test_sweep_rows_ordered_and_initial_point():
     rows = sweep_rows(run_sweep(small_spec()))
     keys = [(r["K"], r["xi"]) for r in rows]
@@ -130,27 +117,6 @@ def test_sweep_csv_layout(tmp_path):
     assert float(fields[2]) == R_BAR
 
 
-def test_sweep_shares_panels_across_xi(monkeypatch):
-    # the sweep runs one quadrature pass whatever the coupling count, and the
-    # graded cuts 0, pole and pole +- eps*4**k are shared by the whole grid:
-    # each xi adds only its tail panel to a prefix of the shared panels, well
-    # under the nodes of its points taken one by one
-    spec = small_spec(couplings=(0.06, 0.02, 0.04), steps=2100, cutoff=300.0)
-    sizes = two_point_sizes(monkeypatch)
-    columns = run_sweep(spec)
-    swept = sum(sizes)
-    sizes.clear()
-    run_sweep(replace(spec, couplings=(0.02,)))
-    assert swept == sum(sizes)
-    sizes.clear()
-    for xi in spec.xi_grid():
-        compute_amplitudes(spec.params, float(xi))
-    assert swept < 0.4 * sum(sizes)
-    assert list(zip(columns["K"].tolist(), columns["xi"].tolist())) == [
-        (k, float(xi)) for k in (0.02, 0.04, 0.06) for xi in spec.xi_grid()
-    ]
-
-
 def test_sweep_assembles_and_reports_once(monkeypatch):
     # the couplings are one axis of the stack, not a loop of calls
     calls = []
@@ -163,17 +129,8 @@ def test_sweep_assembles_and_reports_once(monkeypatch):
     assert calls == ["assemble", "report"]
 
 
-def test_sweep_memory_does_not_grow_with_grid(monkeypatch):
-    sizes = two_point_sizes(monkeypatch)
-    # a long grid takes more blocks rather than larger ones
-    run_sweep(small_spec(couplings=DEFAULT_COUPLINGS, steps=5000, cutoff=300.0))
-    assert len(sizes) > 1
-    assert max(sizes) <= amplitudes._BLOCK_NODES
-
-
 def test_sweep_rows_match_point_route():
-    # the whole grid, a high cutoff, and a near-cone grid whose neighbouring
-    # xi share their pole panels
+    # the whole grid, a high cutoff, and a near-cone grid
     specs = (
         small_spec(couplings=(0.04, 0.02), steps=9, cutoff=300.0),
         small_spec(couplings=(0.04, 0.02), steps=9, cutoff=10000.0),
@@ -311,7 +268,7 @@ def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--xi-steps", "nope"]) == 1
     assert main(["no-such-command"]) == 1
-    # the quadrature takes no node count, and g2 is always kept: without it the
+    # the amplitudes take no node count, and g2 is always kept: without it the
     # exchange block has determinant 2 re_A |X|^2 < 0
     for command in ("sweep", "state", "figures"):
         for option in (["--quad-points", "256"], ["--two-photon"], ["--no-two-photon"]):
@@ -506,16 +463,17 @@ def test_figures_one_coupling_writes_each_block_once(tmp_path):
 
 
 def test_figures_runs_one_sweep(tmp_path, monkeypatch):
-    # fig1, fig4 and fig5 come from one quadrature pass over the union of the
+    # fig1, fig4 and fig5 come from one amplitude pass over the union of the
     # given couplings and the dense coupling grid
-    spec = small_spec(couplings=(0.02, 0.04, 0.06), steps=21)
-    sizes = two_point_sizes(monkeypatch)
-    figures(str(tmp_path), spec)
-    nodes = sum(sizes)
-    sizes.clear()
-    union = set(spec.couplings) | set(np.linspace(0.02, 0.06, 9).tolist())
-    run_sweep(replace(spec, couplings=tuple(sorted(union))))
-    assert nodes <= sum(sizes)
+    calls = []
+
+    def counted(*args, _fn=cli.compute_amplitudes):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(cli, "compute_amplitudes", counted)
+    figures(str(tmp_path), small_spec(couplings=(0.02, 0.04, 0.06), steps=21))
+    assert len(calls) == 1
 
 
 def test_figures_cli_creates_out_dir(tmp_path):

@@ -1,4 +1,8 @@
 """The package's public surface: the names a user calls, and where the rest live."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 import fermicorr
@@ -46,3 +50,12 @@ def test_other_names_import_from_their_module(module):
 
 def test_bloch_decomposition_record_is_gone():
     assert not hasattr(states, "BlochDecomposition")
+
+
+def test_cli_import_loads_only_numpy():
+    # the runtime depends on numpy alone; scipy and mpmath are test-only
+    code = ("import sys, fermicorr.cli; "
+            "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
