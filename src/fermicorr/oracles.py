@@ -15,23 +15,28 @@ from the state (see :func:`_residual_form`). The Pauli moments
 T_ab = <s_a s_b>, x_a = <s_a 1> and y_b = <1 s_b> are measured entry-wise
 from the state once per call; the connected correlation of axis batches A, B
 is then (A W) B^T with W = T - x y^T. The CHSH objective
-|Tb + Tb'| + |Tb - Tb'| uses the Gram form
-|Tb +- Tb'|^2 = |Tb|^2 + |Tb'|^2 +- 2 Tb.Tb' from one product of the two
-batches. Where |Tb - Tb'| or |Tb + Tb'| is small (b' near +-b, or b -+ b'
-near a null direction of T) that branch loses digits to cancellation before
-its square root. The value is then off by at most about 1e-8 absolute,
-reached at b' = +-b as the square root of a rounding error of |Tb|^2 <= 1;
-that is far inside the 1e-5 and 1e-4 Bell tolerances.
+|Tb + Tb'| + |Tb - Tb'| uses the Gram form |Tb +- Tb'|^2 = |Tb|^2 + |Tb'|^2
++- 2 Tb.Tb' from one product of the two batches. Where |Tb -+ Tb'| is small
+that branch cancels before its square root, which can cost about 1e-8
+absolute (at b' = +-b, the root of a rounding error of |Tb|^2 <= 1), far
+inside the 1e-5 and 1e-4 Bell tolerances.
 
 Every objective is even in each measurement axis (a projective measurement
 along -n is the one along n, and the covariance and CHSH value change sign
 in pairs or not at all), so the coarse search runs on the antipodal half of
 the grid: the first half of the theta-major ``DirectionGrid.directions()``,
 which holds one direction of every antipodal pair because ``azimuth_steps``
-is even. Discord searches n on it, the connected correlation n (not n'), and
-CHSH both b and b'. :func:`_search` holds no coarse table: it keeps a
-running best over blocks of 48 rows, whose temporaries stay in cache; CHSH,
-symmetric in b and b', takes about the triangle b <= b' of each block.
+is even. :func:`_search` holds no coarse table: it keeps a running best over
+blocks of 48 rows, whose temporaries stay in cache; CHSH, symmetric in b and
+b', takes about the triangle b <= b' of each block. Two bounds drop the
+axes that cannot hold the coarse maximum: n^T W n' <= |W^T n| for unit n'
+(Cauchy-Schwarz), and |Tb + Tb'| + |Tb - Tb'| <= 2 sqrt(|Tb|^2 + M) with
+M = max |Tb'|^2. The floor is the best pair of the axis of largest bound, a
+value the grid attains. An axis goes only if its bound is below the floor
+by more than _PRUNE_SLACK, which exceeds the bounds' rounding and the Gram
+form's 1e-8, so each of its pairs scores strictly below that value. The
+kept axes stay in order, so the first row-major maximum and its axes are
+unchanged.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
@@ -40,6 +45,7 @@ time-difference closed form of :mod:`fermicorr.amplitudes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -51,12 +57,12 @@ _SIGMA_1 = np.stack((IDENTITY_2,) + PAULI)  # (4, 2, 2), identity first
 _SIGMA_A = np.stack([np.kron(s, IDENTITY_2) for s in PAULI])  # (3, 4, 4): s_i (x) 1
 
 # 9-point meshes over a +-w window: the offsets in units of w as (81, 1) columns
-# of the 9 x 9 grid in row-major order, and the mask of its outer ring
+# of the 9 x 9 grid in row-major order, and the mesh indices of its outer ring
 _REFINE_MESH = 9
 _MESH_STEPS = np.linspace(-1.0, 1.0, _REFINE_MESH)
 _MESH_A = np.repeat(_MESH_STEPS, _REFINE_MESH)[:, None]
 _MESH_B = np.tile(_MESH_STEPS, _REFINE_MESH)[:, None]
-_MESH_RING = ((np.abs(_MESH_A) == 1.0) | (np.abs(_MESH_B) == 1.0)).ravel()
+_MESH_RING = frozenset(np.flatnonzero(np.maximum(abs(_MESH_A), abs(_MESH_B)) == 1.0).tolist())
 
 # refinement ends once its window is below the floor; the cap only bounds the loop
 _WINDOW_FLOOR = 1e-5
@@ -64,6 +70,8 @@ _MAX_ROUNDS = 200
 
 # rows of the first batch per coarse block: its (48, 1152) temporaries stay in cache
 _COARSE_ROWS = 48
+# slack of the coarse pruning bounds: above their rounding and the CHSH Gram form's 1e-8
+_PRUNE_SLACK = 1e-6
 
 # tangent-plane seeds: x, or y where the center lies near +-x
 _SEED_X, _SEED_Y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
@@ -89,18 +97,23 @@ class DirectionGrid:
             raise ValueError(f"azimuth_steps must be even and >= 48, got {self.azimuth_steps}")
 
     def directions(self) -> np.ndarray:
-        """Coarse unit-vector grid; the exact poles are included."""
-        theta = np.linspace(0.0, np.pi, self.polar_steps)
-        phi = np.linspace(0.0, 2.0 * np.pi, self.azimuth_steps, endpoint=False)
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        st = np.sin(tt.ravel())
-        return np.stack(
-            [st * np.cos(pp.ravel()), st * np.sin(pp.ravel()), np.cos(tt.ravel())], axis=-1
-        )
+        """Coarse unit-vector grid with the exact poles: one read-only array per grid."""
+        return _grid_directions(self.polar_steps, self.azimuth_steps)
 
     def initial_window(self) -> float:
         """Tangent-plane half-width covering one coarse grid cell."""
         return np.pi / (self.polar_steps - 1) + 2.0 * np.pi / self.azimuth_steps
+
+
+@lru_cache(maxsize=4)
+def _grid_directions(polar_steps: int, azimuth_steps: int) -> np.ndarray:
+    theta = np.linspace(0.0, np.pi, polar_steps)
+    phi = np.linspace(0.0, 2.0 * np.pi, azimuth_steps, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    st = np.sin(tt.ravel())
+    dirs = np.stack([st * np.cos(pp.ravel()), st * np.sin(pp.ravel()), np.cos(tt.ravel())], -1)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
@@ -130,14 +143,15 @@ def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0,
     far. A round whose best point improves on the outer ring of a mesh moves
     there and doubles w, up to its start of one grid cell; any other round
     keeps an improvement and quarters w. The search ends once
-    w < _WINDOW_FLOOR, or after _MAX_ROUNDS rounds. sign = -1 minimizes.
-    Returns (value, axes): the best value of ``objective`` itself and a list
-    of its k axes.
+    w < _WINDOW_FLOOR, or after _MAX_ROUNDS rounds. sign = -1 minimizes (by
+    argmin: the first maximum of the exact negation). Returns (value, axes):
+    the best value of ``objective`` itself and a list of its k axes.
     """
     def best_of(batches):
-        vals = sign * objective(*batches)
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return vals[idx], [batch[i] for batch, i in zip(batches, idx)], idx
+        vals = objective(*batches)
+        flat = int(vals.argmax() if sign > 0 else vals.argmin())
+        idx = divmod(flat, vals.shape[1]) if vals.ndim == 2 else (flat,)
+        return sign * vals[idx], [batch[i] for batch, i in zip(batches, idx)], idx
 
     first, *rest = coarse_batches
     rows = _COARSE_ROWS if rest else len(first)
@@ -153,7 +167,7 @@ def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0,
         improved = value > best
         if improved:
             best, axes = value, centers
-        w = min(2.0 * w, w_max) if improved and _MESH_RING[list(idx)].any() else 0.25 * w
+        w = min(2.0 * w, w_max) if improved and not _MESH_RING.isdisjoint(idx) else 0.25 * w
         if w < _WINDOW_FLOOR:
             break
     return sign * float(best), axes
@@ -214,6 +228,14 @@ def _pair_covariance(moments, dirs_a, dirs_b):
     return (dirs_a @ (corr - np.outer(x, y))) @ dirs_b.T
 
 
+def _covariance_rows(moments, half, dirs):
+    """Rows n of ``half`` whose bound |W^T n| reaches the coarse floor."""
+    corr, x, y = moments
+    rows = half @ (corr - np.outer(x, y))
+    bound = np.sqrt(np.einsum("mi,mi->m", rows, rows))
+    return half[bound >= (rows[bound.argmax()] @ dirs.T).max() - _PRUNE_SLACK]
+
+
 def maxcorr_bruteforce(
     rho: np.ndarray, grid: DirectionGrid
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -225,8 +247,9 @@ def maxcorr_bruteforce(
     """
     moments = _moments(validate_state(rho))
     dirs = grid.directions()
+    rows = _covariance_rows(moments, _antipodal_half(dirs), dirs)
     value, (n, n_prime) = _search(lambda a, b: _pair_covariance(moments, a, b),
-                                  [_antipodal_half(dirs), dirs], grid)
+                                  [rows, dirs], grid)
     return value, n, n_prime
 
 
@@ -256,6 +279,14 @@ def _chsh_value(corr, dirs_b, dirs_bp):
     return plus + minus
 
 
+def _chsh_axes(corr, half):
+    """Axes b of ``half`` whose bound 2 sqrt(|Tb|^2 + M) reaches the coarse floor."""
+    tb = half @ corr.T
+    norm2 = np.einsum("mi,mi->m", tb, tb)
+    floor = _chsh_value(corr, half[[norm2.argmax()]], half).max()
+    return half[2.0 * np.sqrt(norm2 + norm2.max()) >= floor - _PRUNE_SLACK]
+
+
 def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     """CHSH parameter maximized over all four measurement directions.
 
@@ -265,7 +296,7 @@ def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     from the state.
     """
     corr = _moments(validate_state(rho))[0]
-    dirs = _antipodal_half(grid.directions())
+    dirs = _chsh_axes(corr, _antipodal_half(grid.directions()))
     return _search(lambda b, bp: _chsh_value(corr, b, bp), [dirs, dirs], grid,
                    symmetric=True)[0]
 

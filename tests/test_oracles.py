@@ -6,13 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fermicorr import connected_correlation, geometric_discord, negativity, random_state
+from fermicorr import connected_correlation, geometric_discord, negativity, oracles, random_state
 from fermicorr.cli import oracle_check
 from fermicorr.measures import bell_opt
 from fermicorr.oracles import (
     DirectionGrid,
     _antipodal_half,
+    _chsh_axes,
     _chsh_value,
+    _covariance_rows,
+    _grid_directions,
     _measurement_residual,
     _moments,
     _pair_covariance,
@@ -66,6 +69,23 @@ def test_direction_grid_includes_poles():
     assert np.any(np.all(np.abs(dirs - [0.0, 0.0, 1.0]) < 1e-15, axis=1))
     assert np.any(np.all(np.abs(dirs - [0.0, 0.0, -1.0]) < 1e-15, axis=1))
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
+
+
+def test_directions_built_once_per_grid_and_read_only():
+    dirs = GRID.directions()
+    assert DirectionGrid().directions() is dirs
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        dirs[0, 0] = 0.0
+    assert DirectionGrid(polar_steps=25).directions() is not dirs
+
+
+def test_directions_cache_is_bounded():
+    bound = _grid_directions.cache_info().maxsize
+    assert bound == 4
+    for steps in range(24, 24 + 2 * bound):
+        DirectionGrid(polar_steps=steps).directions()
+    assert _grid_directions.cache_info().currsize == bound
 
 
 def test_discord_bruteforce_product_state():
@@ -289,6 +309,42 @@ def _chsh_reference(corr, dirs_b, dirs_bp):
 
 # 2000160, 7000603 and 14000700 run the CHSH search to its 200-round cap
 REGRESSION_SEEDS = [*range(30), 502, 564, 1888, 110000372, 2000160, 7000603, 14000700]
+
+
+def test_pruned_coarse_pick_equals_full_grid(monkeypatch):
+    # no refinement round: _search returns its coarse value and axes. The
+    # Bell projector, a product state and I/4 (T = W = 0) tie many pairs. So
+    # do a Werner state, where every |W^T n| is 0.4, and T = diag(0.3, -0.3, 0),
+    # where |Tb| is 0.3 on the equator; without the slack, rounding drops the
+    # first maximum's row or axis on these two.
+    monkeypatch.setattr(oracles, "_MAX_ROUNDS", 0)
+    dirs = GRID.directions()
+    half = _antipodal_half(dirs)
+    seeds = sorted(set(range(300)) | set(REGRESSION_SEEDS))
+    dephased = np.eye(4, dtype=complex) / 4.0
+    dephased[0, 3] = dephased[3, 0] = 0.15
+    werner = 0.4 * bell_projector() + (1.0 - 0.4) / 4.0 * np.eye(4, dtype=complex)
+    ties = [bell_projector(), pure_product_state(), np.eye(4) / 4.0 + 0j, werner, dephased]
+    for rho in [random_state(s, kind) for s in seeds for kind in ("mixed", "xshape")] + ties:
+        moments = _moments(rho)
+
+        def covariance(a, b):
+            return _pair_covariance(moments, a, b)
+
+        value, axes = _search(covariance, [_covariance_rows(moments, half, dirs), dirs], GRID)
+        ref_value, ref_axes = _search(covariance, [half, dirs], GRID)
+        # a pruned block can round n W one ulp apart from a full one
+        assert abs(value - ref_value) <= 1e-15
+        assert np.array_equal(np.stack(axes), np.stack(ref_axes))
+
+        def chsh(b, bp):
+            return _chsh_value(moments[0], b, bp)
+
+        kept = _chsh_axes(moments[0], half)
+        value, axes = _search(chsh, [kept, kept], GRID, symmetric=True)
+        ref_value, ref_axes = _search(chsh, [half, half], GRID, symmetric=True)
+        assert value == ref_value
+        assert np.array_equal(np.stack(axes), np.stack(ref_axes))
 
 
 @pytest.mark.parametrize("seed", REGRESSION_SEEDS)
