@@ -36,7 +36,7 @@ value the grid attains. An axis goes only if its bound is below the floor
 by more than _PRUNE_SLACK, which exceeds the bounds' rounding and the Gram
 form's 1e-8, so each of its pairs scores strictly below that value. The
 kept axes stay in order, so the first row-major maximum and its axes are
-unchanged.
+the full grid's.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
