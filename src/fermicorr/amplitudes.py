@@ -16,7 +16,7 @@ instead. A mode sum in :mod:`fermicorr.oracles` checks them independently.
 Each amplitude is linear (or, for the two-photon weight, quadratic) in the
 coupling, and the amplitudes carry the coupling they were scaled to, so a
 sweep computes the coupling-free integrals of its whole xi grid in one pass,
-rescales them to an (xi, coupling) stack and assembles that stack in one call.
+rescales them to an (xi, coupling) stack and assembles its coefficients in one call.
 """
 from __future__ import annotations
 
@@ -91,8 +91,9 @@ class PerturbativeAmplitudes:
         its square, the coupling and every other amplitude linearly.
         ``factor`` may be an array that broadcasts against the fields."""
         linear = ("coupling", "re_a", "exchange", "u2", "v2", "pair_coherence")
-        return replace(self, g2=factor * factor * self.g2,
-                       **{name: factor * getattr(self, name) for name in linear})
+        with np.errstate(all="ignore"):  # assemble rejects what overflows
+            return replace(self, g2=factor * factor * self.g2,
+                           **{name: factor * getattr(self, name) for name in linear})
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,24 @@ class XStateCoefficients:
     rho14: complex
     rho23: complex
     c: float
+
+    def matrix(self) -> np.ndarray:
+        """The c-normalized density matrix: (4, 4) for scalar coefficients,
+        (..., 4, 4) for a stack of them."""
+        rho = np.zeros(np.shape(self.c) + (4, 4), dtype=complex)
+        rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = (
+            self.rho11, self.rho22, self.rho33, self.rho44)
+        rho[..., 0, 3], rho[..., 3, 0] = self.rho14, np.conj(self.rho14)
+        rho[..., 1, 2], rho[..., 2, 1] = self.rho23, np.conj(self.rho23)
+        rho /= np.asarray(self.c)[..., None, None]
+        return rho
+
+    @classmethod
+    def from_matrix(cls, rho: np.ndarray) -> XStateCoefficients:
+        """The coefficients of one normalized X-patterned 4x4 matrix, c = 1."""
+        return cls(rho11=rho[0, 0].real, rho22=rho[1, 1].real,
+                   rho33=rho[2, 2].real, rho44=rho[3, 3].real,
+                   rho14=complex(rho[0, 3]), rho23=complex(rho[1, 2]), c=1.0)
 
 
 def two_point(dx, dt, cutoff: float):
@@ -230,39 +249,46 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
     bad = xi[~(np.isfinite(xi) & (xi >= 0))]
     if bad.size:
         raise ValueError(f"xi must be finite and >= 0, got {bad[0]}")
-    ex, re_a, pair, u2, v2 = _unit_integrals(xi.reshape(-1) * p.r_bar, p.r_bar, p.cutoff)
-    g2 = u2 * v2 + np.abs(pair) ** 2
+    with np.errstate(all="ignore"):  # _require_finite rejects what overflows
+        ex, re_a, pair, u2, v2 = _unit_integrals(xi.reshape(-1) * p.r_bar, p.r_bar, p.cutoff)
+        g2 = u2 * v2 + np.abs(pair) ** 2
     values = (unwrap_scalar(a.reshape(xi.shape)) for a in (xi, re_a, ex, u2, v2, pair, g2))
     amps = PerturbativeAmplitudes(*values, coupling=1.0)
+    _require_finite(amps)
     return amps.scaled(p.coupling)
 
 
-def assemble(amps: PerturbativeAmplitudes) -> tuple[XStateCoefficients, np.ndarray]:
-    """Assemble the X-patterned reduced density matrix from the amplitudes.
-
-    Returns the unnormalized coefficients (with their sum c) and the
-    c-normalized matrix: (4, 4) for scalar amplitudes, (..., 4, 4) for
-    arrays, such as an (xi, coupling) stack. Raises ValueError naming the
-    first non-finite amplitude field. Raises :class:`OutOfRegimeError`
-    naming the xi and coupling of the first point, in array order, where the
-    vacuum-sector population 1 + 2*re_a is not positive or where the smaller
-    eigenvalue of either 2x2 X-block of the normalized state is below
-    -POSITIVITY_ATOL; both signal a coupling too strong for the second-order
-    truncation at this time.
-    """
+def _require_finite(amps: PerturbativeAmplitudes) -> None:
+    """Raise ValueError naming the first non-finite amplitude field."""
     for name in ("re_a", "exchange", "u2", "v2", "pair_coherence", "g2"):
         value = np.ravel(getattr(amps, name))
         bad = value[~np.isfinite(value)]
         if bad.size:
             raise ValueError(f"amplitude {name} must be finite, got {bad[0]}")
-    rho11 = amps.v2
-    rho22 = 1.0 + 2.0 * amps.re_a
-    rho33 = np.square(np.abs(amps.exchange)) + amps.g2
-    rho44 = amps.u2
-    rho14 = np.conj(amps.pair_coherence)
-    rho23 = np.conj(amps.exchange)
-    c = rho11 + rho22 + rho33 + rho44
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+
+def assemble(amps: PerturbativeAmplitudes) -> XStateCoefficients:
+    """Assemble the X-patterned reduced state from the amplitudes.
+
+    Returns its unnormalized coefficients with their sum c: scalars for
+    scalar amplitudes, arrays for arrays, such as an (xi, coupling) stack;
+    :meth:`XStateCoefficients.matrix` builds the c-normalized matrix.
+    Raises ValueError naming the first non-finite amplitude field. Raises
+    :class:`OutOfRegimeError` naming the xi and coupling of the first point,
+    in array order, where the vacuum-sector population 1 + 2*re_a is not
+    positive or where the smaller eigenvalue of either 2x2 X-block of the
+    normalized state is below -POSITIVITY_ATOL; both signal a coupling too
+    strong for the second-order truncation at this time.
+    """
+    _require_finite(amps)
+    with np.errstate(all="ignore"):
+        rho11 = amps.v2
+        rho22 = 1.0 + 2.0 * amps.re_a
+        rho33 = np.square(np.abs(amps.exchange)) + amps.g2
+        rho44 = amps.u2
+        rho14 = np.conj(amps.pair_coherence)
+        rho23 = np.conj(amps.exchange)
+        c = rho11 + rho22 + rho33 + rho44
         min_eig = np.minimum(*(
             0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(z))
             for a, b, z in ((rho11, rho44, rho14), (rho22, rho33, rho23))
@@ -275,12 +301,6 @@ def assemble(amps: PerturbativeAmplitudes) -> tuple[XStateCoefficients, np.ndarr
         if r22 <= 0.0:
             raise OutOfRegimeError(f"rho22 = {r22:.6f} <= 0 {where}")
         raise OutOfRegimeError(f"state not positive: min eigenvalue = {eig:.3e} {where}")
-    coeffs = XStateCoefficients(*(
+    return XStateCoefficients(*(
         unwrap_scalar(v) for v in (rho11, rho22, rho33, rho44, rho14, rho23, c)
     ))
-    rho = np.zeros(np.shape(c) + (4, 4), dtype=complex)
-    rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = rho11, rho22, rho33, rho44
-    rho[..., 0, 3], rho[..., 3, 0] = rho14, np.conj(rho14)
-    rho[..., 1, 2], rho[..., 2, 1] = rho23, np.conj(rho23)
-    rho /= np.asarray(c)[..., None, None]
-    return coeffs, rho

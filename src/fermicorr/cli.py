@@ -134,13 +134,9 @@ def run_sweep(spec: SweepSpec) -> dict:
     """
     unit = compute_amplitudes(spec.params, spec.xi_grid()[:, None])
     amps = unit.scaled(np.array(sorted(spec.couplings)))
-    coeffs, _ = assemble(amps)
-    rep = report(coeffs)
+    coeffs = assemble(amps)
     columns = {**amplitude_fields(amps), "K": amps.coupling, "r_bar": spec.r_bar,
-               "cutoff": spec.cutoff, "c": coeffs.c, "sqrtD": rep.sqrt_discord,
-               "negativity": rep.negativity, "conn_corr": rep.connected_corr,
-               "bell_chsh": rep.bell_chsh, "bell_opt": rep.bell_opt,
-               "hierarchy_ok": rep.hierarchy_ok}
+               "cutoff": spec.cutoff, "c": coeffs.c, **report(coeffs)}
     shape = np.shape(coeffs.c)
     return {name: np.broadcast_to(columns[name], shape).T.ravel() for name in SWEEP_HEADER}
 
@@ -160,7 +156,7 @@ def amplitude_fields(amps: PerturbativeAmplitudes) -> dict:
 def state_dump(params: ModelParams, xi: float) -> dict:
     """JSON document for one state: params, amplitudes, coefficients, matrix."""
     amps = compute_amplitudes(params, xi)
-    coeffs, rho = assemble(amps)
+    coeffs = assemble(amps)
     return {
         "params": asdict(params),
         "amplitudes": amplitude_fields(amps),
@@ -168,7 +164,7 @@ def state_dump(params: ModelParams, xi: float) -> dict:
             name: [value.real, value.imag] if isinstance(value, complex) else value
             for name, value in asdict(coeffs).items()
         },
-        "rho": state_to_json(rho),
+        "rho": state_to_json(coeffs.matrix()),
     }
 
 
@@ -190,12 +186,7 @@ def oracle_check(count: int, seed: int, grid: DirectionGrid) -> dict:
         c = abs(maxcorr_bruteforce(rho, grid)[0] - connected_correlation(rho))
         n = abs(negativity_eig(rho) - negativity(rho))
         rho_x = random_state(seed + i, "xshape")
-        coeffs = XStateCoefficients(
-            rho11=rho_x[0, 0].real, rho22=rho_x[1, 1].real,
-            rho33=rho_x[2, 2].real, rho44=rho_x[3, 3].real,
-            rho14=complex(rho_x[0, 3]), rho23=complex(rho_x[1, 2]), c=1.0,
-        )
-        b = abs(chsh_gridopt(rho_x, grid) - bell_opt(coeffs))
+        b = abs(chsh_gridopt(rho_x, grid) - bell_opt(XStateCoefficients.from_matrix(rho_x)))
         for name, value in (("discord", d), ("conn_corr", c), ("negativity", n), ("bell_opt", b)):
             dev[name] = max(dev[name], value)
             if value > ORACLE_TOLERANCES[name]:

@@ -4,12 +4,12 @@ Bell parameters, and their closed forms for the perturbative X-state.
 Generic measures take a 4x4 density matrix. The X-state closed forms and the
 Bell parameters take what ``assemble`` returns, XStateCoefficients: the closed
 forms read the unnormalized entries, the Bell parameters normalize them by c.
-Both take scalars or arrays over a stack of points, and return the same.
+Both take scalars or arrays over a stack of points, and return the same;
+``report`` returns all of them keyed by their sweep CSV column names.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +20,6 @@ BELL_CLASSICAL = 2.0
 BELL_TSIRELSON = 2.0 * math.sqrt(2.0)
 
 HIERARCHY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """All correlation quantifiers of one sweep point (X-state closed forms),
-    or arrays of them over a stack of points."""
-
-    sqrt_discord: float
-    negativity: float
-    connected_corr: float
-    bell_chsh: float
-    bell_opt: float
-    hierarchy_ok: bool
 
 
 def geometric_discord(rho: np.ndarray) -> float:
@@ -120,9 +107,11 @@ def bell_opt(coeffs: XStateCoefficients) -> float:
     return unwrap_scalar(2.0 * np.sqrt(u1 + np.maximum(u2, u3)))
 
 
-def report(coeffs: XStateCoefficients) -> CorrelationReport:
-    """Aggregate all quantifiers of one sweep point, or of a stack of them
-    (then every field is an array), from the X-state closed forms.
+def report(coeffs: XStateCoefficients) -> dict:
+    """All quantifiers of one sweep point, or of a stack of them (then every
+    value is an array), from the X-state closed forms, keyed by their sweep
+    CSV column names: sqrtD, negativity, conn_corr, bell_chsh, bell_opt and
+    hierarchy_ok (conn_corr >= sqrtD >= negativity, within HIERARCHY_TOL).
 
     The input is :func:`~fermicorr.amplitudes.assemble`'s coefficients;
     ``assemble`` has already rejected every point whose state is not
@@ -132,11 +121,5 @@ def report(coeffs: XStateCoefficients) -> CorrelationReport:
     n = negativity_xstate(coeffs)
     c = connected_correlation_xstate(coeffs)
     ok = (c >= sd - HIERARCHY_TOL) & (sd >= n - HIERARCHY_TOL)
-    return CorrelationReport(
-        sqrt_discord=sd,
-        negativity=n,
-        connected_corr=c,
-        bell_chsh=bell_chsh(coeffs),
-        bell_opt=bell_opt(coeffs),
-        hierarchy_ok=ok,
-    )
+    return {"sqrtD": sd, "negativity": n, "conn_corr": c, "bell_chsh": bell_chsh(coeffs),
+            "bell_opt": bell_opt(coeffs), "hierarchy_ok": ok}

@@ -117,7 +117,7 @@ def test_criterion_05_spacelike_correlations():
     """
     p = ModelParams(r_bar=DEFAULT_R_BAR, coupling=min(DEFAULT_COUPLINGS))
     amps = compute_amplitudes(p, np.array([0.5, 1.0]))
-    coeffs, _ = assemble(amps)
+    coeffs = assemble(amps)
     margin = coeffs.rho22.min()
     sd_half, sd_cone = sqrt_discord_xstate(coeffs)
     neg_half = negativity_xstate(coeffs)[0]
@@ -167,8 +167,8 @@ def test_criterion_06_entanglement_onset(default_sweep):
         margins[coupling] = min(1.0 + 2.0 * r["re_A"] for r in block)
         amps = compute_amplitudes(ModelParams(r_bar=ONSET_R_BAR, coupling=coupling),
                                   np.array([r["xi"] for r in block[::10]]))
-        coeffs, rho = assemble(amps)
-        generic = np.array([negativity(m) for m in rho])
+        coeffs = assemble(amps)
+        generic = np.array([negativity(m) for m in coeffs.matrix()])
         generic_agree &= np.array_equal(generic > NEGATIVITY_NOISE, negativity_xstate(coeffs) > 0.0)
     ok = (default_agree and onset_agree and generic_agree and min(margins.values()) > 0.0
           and None not in onsets.values())
@@ -273,8 +273,8 @@ def _longitudinal_gap(coupling):
     second-order form -4(|X|^2 + |L|^2)/c^2."""
     p = ModelParams(r_bar=DEFAULT_R_BAR, coupling=coupling)
     amps = compute_amplitudes(p, 1.0)
-    coeffs, rho = assemble(amps)
-    x, y, t = decompose(rho)
+    coeffs = assemble(amps)
+    x, y, t = decompose(coeffs.matrix())
     w_zz = t[2, 2] - x[2] * y[2]
     lead = -4.0 * (abs(amps.exchange) ** 2 + abs(amps.pair_coherence) ** 2) / coeffs.c**2
     return abs(w_zz - lead) / abs(lead)
@@ -305,7 +305,7 @@ def test_criterion_10_measurement_direction_switch():
     grid = DirectionGrid()
     nz = {}
     for xi in couplings:
-        _, rho = assemble(compute_amplitudes(p, xi))
+        rho = assemble(compute_amplitudes(p, xi)).matrix()
         _, n, nprime = maxcorr_bruteforce(rho, grid)
         nz[xi] = (abs(n[2]), abs(nprime[2]))
     equatorial = all(max(v) <= 0.1 for v in nz.values())
@@ -379,7 +379,7 @@ def test_criterion_11_micro_causality():
     for cutoff in (300.0, 3000.0, 30000.0):
         amps = compute_amplitudes(ModelParams(r_bar=DEFAULT_R_BAR, coupling=0.02, cutoff=cutoff),
                                   np.array((0.5, 0.9, 1.5)))
-        full, real = (np.sqrt([geometric_discord(rho) for rho in assemble(a)[1]])
+        full, real = (np.sqrt([geometric_discord(rho) for rho in assemble(a).matrix()])
                       for a in (amps, replace(amps, exchange=amps.exchange.real)))
         share.append(np.abs(real - full) / full)
     share = np.array(share)

@@ -9,8 +9,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from fermicorr import ModelParams, OutOfRegimeError, assemble, compute_amplitudes
-from fermicorr.amplitudes import PerturbativeAmplitudes, _exp1, two_point
+from fermicorr import ModelParams, OutOfRegimeError, assemble, compute_amplitudes, measures
+from fermicorr.amplitudes import PerturbativeAmplitudes, XStateCoefficients, _exp1, two_point
 from fermicorr.cli import SWEEP_HEADER
 from fermicorr.oracles import mode_sum_amplitudes
 from fermicorr.states import validate_state
@@ -388,20 +388,20 @@ def _manual_amps(**kw):
 
 
 def test_assemble_initial_state():
-    coeffs, rho = assemble(_manual_amps(xi=0.0))
+    coeffs = assemble(_manual_amps(xi=0.0))
     assert coeffs.c == 1.0
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0
-    assert np.array_equal(rho, expected)
+    assert np.array_equal(coeffs.matrix(), expected)
 
 
 def test_assemble_arithmetic():
     # g2 = u2 v2 + |L|^2 keeps the exchange block positive
     amps = _manual_amps(u2=0.01, v2=0.004, re_a=-0.007, exchange=0.01j, g2=4e-5)
-    coeffs, rho = assemble(amps)
+    coeffs = assemble(amps)
     assert coeffs.c == pytest.approx(1.00014, abs=1e-15)
     assert coeffs.rho22 == pytest.approx(0.986)
-    assert rho[1, 1].real == pytest.approx(0.986 / 1.00014)
+    assert coeffs.matrix()[1, 1].real == pytest.approx(0.986 / 1.00014)
     assert coeffs.rho23 == pytest.approx(-0.01j)
 
 
@@ -415,6 +415,14 @@ def test_assemble_rejects_non_finite_amplitudes(field, value):
     with pytest.raises(ValueError, match=f"amplitude {field} must be finite") as info:
         assemble(_manual_amps(**{field: value}))
     assert not isinstance(info.value, OutOfRegimeError)
+
+
+def test_compute_amplitudes_rejects_overflow():
+    # the unit amplitudes are checked before scaling, so coupling 0 does not
+    # turn an infinite integral into 0 * inf
+    for coupling in (0.0, 0.04):
+        with pytest.raises(ValueError, match="amplitude re_a must be finite, got -inf"):
+            compute_amplitudes(params(coupling=coupling), 1e308)
 
 
 def test_assemble_out_of_regime():
@@ -439,8 +447,8 @@ def test_assembled_states_pass_invariants():
     p = params(coupling=0.06)
     for xi in np.linspace(0.0, 2.0, 41):
         amps = compute_amplitudes(p, xi)
-        coeffs, rho = assemble(amps)
-        validate_state(rho)
+        coeffs = assemble(amps)
+        validate_state(coeffs.matrix())
         assert coeffs.c == coeffs.rho11 + coeffs.rho22 + coeffs.rho33 + coeffs.rho44
         assert abs(coeffs.rho14) ** 2 <= coeffs.rho11 * coeffs.rho44 * (1.0 + 1e-6)
         assert abs(coeffs.rho23) ** 2 <= coeffs.rho22 * coeffs.rho33 * (1.0 + 1e-6)
@@ -451,13 +459,29 @@ def test_assemble_coupling_stack_matches_per_coupling_calls():
     # one call per coupling
     unit = compute_amplitudes(params(coupling=1.0), np.linspace(0.0, 2.0, 41)[:, None])
     couplings = np.array([0.02, 0.04, 0.06])
-    coeffs, rho = assemble(unit.scaled(couplings))
+    coeffs = assemble(unit.scaled(couplings))
+    rho = coeffs.matrix()
     assert rho.shape == (41, 3, 4, 4)
     for j, k in enumerate(couplings):
-        one_coeffs, one_rho = assemble(unit.scaled(k))
-        assert np.array_equal(rho[:, j], one_rho[:, 0])
+        one_coeffs = assemble(unit.scaled(k))
+        assert np.array_equal(rho[:, j], one_coeffs.matrix()[:, 0])
         for name, value in vars(one_coeffs).items():
             assert np.array_equal(getattr(coeffs, name)[:, j], value[:, 0]), name
+
+
+def test_from_matrix_inverts_matrix():
+    # the c-normalized coefficients come back within 2 ulps, not bitwise: the
+    # matrix divides a complex entry by c as numpy does, the Bell parameters
+    # divide each part on its own
+    unit = compute_amplitudes(params(coupling=1.0), np.linspace(0.0, 2.0, 401)[:, None])
+    coeffs = assemble(unit.scaled(np.array([0.02, 0.04, 0.06])))
+    back = [XStateCoefficients.from_matrix(rho) for rho in coeffs.matrix().reshape(-1, 4, 4)]
+    names = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
+    for name, expected in zip(names, measures._normalized(coeffs)):
+        value = np.array([getattr(b, name) for b in back])
+        for part in (np.real, np.imag):
+            np.testing.assert_array_max_ulp(part(value), part(expected).ravel(), maxulp=2)
+    assert all(b.c == 1.0 for b in back)
 
 
 def test_model_params_validation():

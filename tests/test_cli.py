@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from fermicorr import ModelParams, assemble, cli, compute_amplitudes, report
+from fermicorr.amplitudes import XStateCoefficients
 from fermicorr.cli import (
     DEFAULT_COUPLINGS,
     DEFAULT_R_BAR,
@@ -129,6 +131,20 @@ def test_sweep_assembles_and_reports_once(monkeypatch):
     assert calls == ["assemble", "report"]
 
 
+def test_sweep_and_figures_build_no_matrix(tmp_path, monkeypatch):
+    # the CSV columns come from the coefficients alone
+    def refuse(self):
+        raise AssertionError("matrix built")
+    monkeypatch.setattr(XStateCoefficients, "matrix", refuse)
+    run_sweep(small_spec())
+    figures(str(tmp_path), small_spec())
+
+
+def test_report_keys_are_the_sweep_columns():
+    coeffs = assemble(compute_amplitudes(ModelParams(r_bar=R_BAR, coupling=0.04), 1.0))
+    assert tuple(report(coeffs)) == SWEEP_HEADER[-6:]
+
+
 def test_sweep_rows_match_point_route():
     # the whole grid, a high cutoff, and a near-cone grid
     specs = (
@@ -144,16 +160,14 @@ def test_sweep_rows_match_point_route():
             p = replace(spec.params, coupling=k)
             for xi in spec.xi_grid():
                 amps = compute_amplitudes(p, float(xi))
-                coeffs, _ = assemble(amps)
+                coeffs = assemble(amps)
                 rep = report(coeffs)
                 expected = {
                     **amplitude_fields(amps), "K": k, "r_bar": p.r_bar, "cutoff": p.cutoff,
-                    "c": coeffs.c, "sqrtD": rep.sqrt_discord, "negativity": rep.negativity,
-                    "conn_corr": rep.connected_corr, "bell_chsh": rep.bell_chsh,
-                    "bell_opt": rep.bell_opt,
+                    "c": coeffs.c, **rep,
                 }
                 row = next(rows)
-                assert row["hierarchy_ok"] is rep.hierarchy_ok
+                assert row["hierarchy_ok"] is rep["hierarchy_ok"]
                 for name in SWEEP_HEADER[:-1]:
                     assert row[name] == expected[name], (name, spec.params.cutoff, xi)
 
@@ -353,7 +367,7 @@ def test_state_dump_roundtrip_and_consistency():
     # the amplitudes survive the dump exactly; re-evaluated measures match
     # the direct pipeline
     assert amps == compute_amplitudes(p, 1.5)
-    direct, _ = assemble(amps)
+    direct = assemble(amps)
     assert abs(sqrt_discord_xstate(coeffs) - sqrt_discord_xstate(direct)) < 1e-12
     assert abs(negativity_xstate(coeffs) - negativity_xstate(direct)) < 1e-12
     assert abs(connected_correlation_xstate(coeffs) - connected_correlation_xstate(direct)) < 1e-12
@@ -373,6 +387,26 @@ def test_state_cli_exit_codes(capsys):
     assert out == ""
     assert err.startswith("usage: fermicorr state")
     assert "argument --coupling: may be given only once" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["state", "--xi", "1e308"], 1, "error: amplitude re_a must be finite"),
+    (["state", "--cutoff", "1e308", "--xi", "1"], 1, "error: amplitude re_a must be finite"),
+    (["state", "--xi", "1e160"], 2, "out of regime: rho22 = "),
+    (["state", "--r-bar", "1e300", "--xi", "2"], 2, "out of regime: rho22 = "),
+    (["state", "--xi", "1e308", "--coupling", "0"], 1, "error: amplitude re_a must be finite"),
+    (["sweep", "--coupling", "1e200", "--xi-steps", "5"], 1, "error: amplitude g2 must be finite"),
+], ids=["xi", "cutoff", "xi-regime", "r-bar", "coupling-0", "sweep-coupling"])
+def test_extreme_inputs_fail_without_warnings(capsys, tmp_path, argv, code, message):
+    # overflow inside the amplitudes, their scaling or the assembly surfaces
+    # as a non-finite amplitude or an out-of-regime state, never as a numpy
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
 
 
 def test_state_cli_takes_one_coupling(capsys):
@@ -501,7 +535,7 @@ def test_pre_light_cone_signal():
     # closed forms are linear in K, so the ratios hold at any coupling
     p = ModelParams(r_bar=R_BAR, coupling=0.02)
     amps = compute_amplitudes(p, np.append(np.linspace(0.25, 0.85, 13), 1.0))
-    coeffs, _ = assemble(amps)
+    coeffs = assemble(amps)
     assert coeffs.rho22.min() > 0.5
     sd, cc = sqrt_discord_xstate(coeffs), connected_correlation_xstate(coeffs)
     assert sd[:-1].max() >= 1e-3 * sd[-1]

@@ -28,7 +28,7 @@ from fermicorr.measures import (
 )
 from fermicorr.states import decompose, partial_transpose
 
-from conftest import bell_projector, coeffs_from_state
+from conftest import bell_projector
 
 R_BAR = math.pi / 4.0
 
@@ -150,12 +150,12 @@ def test_bell_chsh_initial_state():
 
 
 def test_bell_chsh_bell_projector():
-    co = coeffs_from_state(bell_projector())
+    co = XStateCoefficients.from_matrix(bell_projector())
     assert bell_chsh(co) == pytest.approx(-2.0 * math.sqrt(2.0))
 
 
 def test_bell_opt_bell_projector():
-    co = coeffs_from_state(bell_projector())
+    co = XStateCoefficients.from_matrix(bell_projector())
     assert bell_opt(co) == pytest.approx(BELL_TSIRELSON)
 
 
@@ -165,13 +165,13 @@ def test_bell_opt_initial_state():
 
 def test_bell_opt_dominates_chsh_on_random_xstates():
     for seed in range(10_000):
-        co = coeffs_from_state(random_state(seed, "xshape"))
+        co = XStateCoefficients.from_matrix(random_state(seed, "xshape"))
         assert bell_opt(co) >= abs(bell_chsh(co)) - 1e-12
 
 
 def test_bell_opt_range_on_random_xstates():
     for seed in range(2000):
-        co = coeffs_from_state(random_state(seed, "xshape"))
+        co = XStateCoefficients.from_matrix(random_state(seed, "xshape"))
         assert 0.0 <= bell_opt(co) <= BELL_TSIRELSON + 1e-9
 
 
@@ -184,12 +184,12 @@ def test_closed_forms_take_arrays():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     xis = np.linspace(0.0, 2.0, 9)
     stack = compute_amplitudes(p, xis)
-    coeffs, rho = assemble(stack)
+    coeffs = assemble(stack)
     rep = report(coeffs)
-    assert rho.shape == (9, 4, 4)
+    assert coeffs.matrix().shape == (9, 4, 4)
     for i, xi in enumerate(xis):
         amps = compute_amplitudes(p, float(xi))
-        co, _ = assemble(amps)
+        co = assemble(amps)
         for fn in (sqrt_discord_xstate, negativity_xstate, connected_correlation_xstate,
                    bell_chsh, bell_opt):
             value = fn(co)
@@ -198,19 +198,18 @@ def test_closed_forms_take_arrays():
         # the negativity turns on exactly where |X|^2 > u2 v2
         onset = abs(amps.exchange) ** 2 > amps.u2 * amps.v2
         assert (negativity_xstate(coeffs)[i] > 0.0) == onset
-        assert rep.hierarchy_ok[i] == report(co).hierarchy_ok
+        assert rep["hierarchy_ok"][i] == report(co)["hierarchy_ok"]
 
 def test_report_initial_point():
     p = ModelParams(r_bar=R_BAR, coupling=0.04)
     amps = compute_amplitudes(p, 0.0)
-    coeffs, _ = assemble(amps)
-    rep = report(coeffs)
-    assert rep.sqrt_discord == 0.0
-    assert rep.negativity == 0.0
-    assert rep.connected_corr == 0.0
-    assert rep.bell_chsh == pytest.approx(math.sqrt(2.0))
-    assert rep.bell_opt == pytest.approx(2.0)
-    assert rep.hierarchy_ok is True
+    rep = report(assemble(amps))
+    assert rep["sqrtD"] == 0.0
+    assert rep["negativity"] == 0.0
+    assert rep["conn_corr"] == 0.0
+    assert rep["bell_chsh"] == pytest.approx(math.sqrt(2.0))
+    assert rep["bell_opt"] == pytest.approx(2.0)
+    assert rep["hierarchy_ok"] is True
 
 
 def test_hierarchy_on_random_states():
@@ -284,7 +283,8 @@ def test_generic_measures_validate_once(monkeypatch):
 def _closed_vs_generic(coupling, xi):
     p = ModelParams(r_bar=R_BAR, coupling=coupling)
     amps = compute_amplitudes(p, xi)
-    coeffs, rho = assemble(amps)
+    coeffs = assemble(amps)
+    rho = coeffs.matrix()
     x, y, t = decompose(rho)
     w = t - np.outer(x, y)
     equatorial = 2.0 * (abs(amps.exchange) + abs(amps.pair_coherence))

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermicorr import connected_correlation, geometric_discord, negativity, oracles, random_state
+from fermicorr.amplitudes import XStateCoefficients
 from fermicorr.cli import oracle_check
 from fermicorr.measures import bell_opt
 from fermicorr.oracles import (
@@ -28,7 +29,7 @@ from fermicorr.oracles import (
 )
 from fermicorr.states import IDENTITY_2, PAULI
 
-from conftest import bell_projector, coeffs_from_state
+from conftest import bell_projector
 
 GRID = DirectionGrid()
 
@@ -155,7 +156,7 @@ def test_chsh_gridopt_matches_bell_opt():
     for seed in range(30):
         rho = random_state(seed, "xshape")
         value = chsh_gridopt(rho, GRID)
-        assert abs(value - bell_opt(coeffs_from_state(rho))) < 1e-5
+        assert abs(value - bell_opt(XStateCoefficients.from_matrix(rho))) < 1e-5
         assert value <= 2.0 * math.sqrt(2.0) + 1e-6
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import fermicorr
-from fermicorr import states
+from fermicorr import measures, states
 
 PUBLIC = {
     "ModelParams", "compute_amplitudes", "assemble", "OutOfRegimeError", "report",
@@ -17,7 +17,7 @@ PUBLIC = {
 MODULE_ONLY = {
     "fermicorr.amplitudes": ("PerturbativeAmplitudes", "XStateCoefficients", "two_point"),
     "fermicorr.measures": (
-        "BELL_TSIRELSON", "CorrelationReport", "bell_chsh", "bell_opt",
+        "BELL_TSIRELSON", "bell_chsh", "bell_opt",
         "connected_correlation_xstate", "negativity_xstate", "sqrt_discord_xstate",
     ),
     "fermicorr.oracles": (
@@ -50,6 +50,10 @@ def test_other_names_import_from_their_module(module):
 
 def test_bloch_decomposition_record_is_gone():
     assert not hasattr(states, "BlochDecomposition")
+
+
+def test_correlation_report_record_is_gone():
+    assert not hasattr(measures, "CorrelationReport")
 
 
 def test_cli_import_loads_only_numpy():
