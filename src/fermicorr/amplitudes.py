@@ -255,7 +255,9 @@ def compute_amplitudes(p: ModelParams, xi) -> PerturbativeAmplitudes:
     values = (unwrap_scalar(a.reshape(xi.shape)) for a in (xi, re_a, ex, u2, v2, pair, g2))
     amps = PerturbativeAmplitudes(*values, coupling=1.0)
     _require_finite(amps)
-    return amps.scaled(p.coupling)
+    amps = amps.scaled(p.coupling)
+    _require_finite(amps)  # the scaling itself may overflow
+    return amps
 
 
 def _require_finite(amps: PerturbativeAmplitudes) -> None:
@@ -299,7 +301,7 @@ def assemble(amps: PerturbativeAmplitudes) -> XStateCoefficients:
                            for v in (amps.xi, amps.coupling, rho22, min_eig))
         where = f"at xi = {xi:g}, coupling = {k:g}: second-order truncation invalid"
         if r22 <= 0.0:
-            raise OutOfRegimeError(f"rho22 = {r22:.6f} <= 0 {where}")
+            raise OutOfRegimeError(f"rho22 = {r22:.6g} <= 0 {where}")
         raise OutOfRegimeError(f"state not positive: min eigenvalue = {eig:.3e} {where}")
     return XStateCoefficients(*(
         unwrap_scalar(v) for v in (rho11, rho22, rho33, rho44, rho14, rho23, c)

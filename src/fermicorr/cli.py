@@ -1,6 +1,11 @@
 """Command-line front end: parameter sweeps, state dumps, oracle cross-checks
 and plot-ready figure datasets.
 
+Each command's options are declared once, in ``_COMMANDS``. A command followed
+by exact ``--flag value`` pairs is read straight from that table; any other
+line goes to the argparse tree built from it, which writes all help, usage and
+error text.
+
 Exit codes: 0 success, 1 validation or usage error, 2 out-of-regime
 parameters, 3 oracle tolerance breach.
 """
@@ -257,59 +262,46 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _add_model_args(sub):
-    sub.add_argument("--r-bar", type=float, default=DEFAULT_R_BAR,
-                     help="qubit separation in units of v/Omega (default: pi/4)")
-    sub.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
-                     help="UV cutoff omega_c/Omega (default: %(default)s)")
-
-
-def _add_grid_args(sub):
-    sub.add_argument("--coupling", type=float, action="append", default=None,
-                     help="dimensionless coupling K (repeatable; default: 0.02 0.04 0.06)")
-    sub.add_argument("--xi-min", type=float, default=DEFAULT_XI_MIN)
-    sub.add_argument("--xi-max", type=float, default=DEFAULT_XI_MAX)
-    sub.add_argument("--xi-steps", type=int, default=DEFAULT_XI_STEPS)
-
-
 def _sweep_spec(args) -> SweepSpec:
     couplings = tuple(args.coupling or DEFAULT_COUPLINGS)
     return SweepSpec(xi_min=args.xi_min, xi_max=args.xi_max, xi_steps=args.xi_steps,
                      couplings=couplings, r_bar=args.r_bar, cutoff=args.cutoff)
 
 
-def _add_sweep_args(p):
-    _add_model_args(p)
-    _add_grid_args(p)
-    p.add_argument("--out", default="sweep.csv", help="output CSV path")
+_MODEL_OPTIONS = (
+    ("--r-bar", dict(type=float, default=DEFAULT_R_BAR,
+                     help="qubit separation in units of v/Omega (default: pi/4)")),
+    ("--cutoff", dict(type=float, default=DEFAULT_CUTOFF,
+                      help="UV cutoff omega_c/Omega (default: %(default)s)")),
+)
+_GRID_OPTIONS = (
+    ("--coupling", dict(type=float, action="append", default=None,
+                        help="dimensionless coupling K (repeatable; default: 0.02 0.04 0.06)")),
+    ("--xi-min", dict(type=float, default=DEFAULT_XI_MIN)),
+    ("--xi-max", dict(type=float, default=DEFAULT_XI_MAX)),
+    ("--xi-steps", dict(type=int, default=DEFAULT_XI_STEPS)),
+)
 
-
-def _add_state_args(p):
-    _add_model_args(p)
-    p.add_argument("--coupling", type=float, action=_Once, default=DEFAULT_COUPLINGS[0],
-                   help="dimensionless coupling K (default: %(default)s)")
-    p.add_argument("--xi", type=float, default=1.0, help="dimensionless time")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
-def _add_oracle_args(p):
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default=None, help="write the JSON report here")
-
-
-def _add_figures_args(p):
-    _add_model_args(p)
-    _add_grid_args(p)
-    p.add_argument("--out", default=".", help="output directory")
-
-
-# Each command's help line and arguments, read by both parse routes.
+# Each command's help line and its (flag, add_argument keywords) options, read
+# by both parse routes. No default is a string that argparse would convert.
 _COMMANDS = {
-    "sweep": ("run a (xi, K) sweep and write CSV", _add_sweep_args),
-    "state": ("dump one assembled state as JSON", _add_state_args),
-    "oracle-check": ("closed forms vs brute-force oracles", _add_oracle_args),
-    "figures": ("emit plot-ready CSV datasets", _add_figures_args),
+    "sweep": ("run a (xi, K) sweep and write CSV", _MODEL_OPTIONS + _GRID_OPTIONS + (
+        ("--out", dict(default="sweep.csv", help="output CSV path")),
+    )),
+    "state": ("dump one assembled state as JSON", _MODEL_OPTIONS + (
+        ("--coupling", dict(type=float, action=_Once, default=DEFAULT_COUPLINGS[0],
+                            help="dimensionless coupling K (default: %(default)s)")),
+        ("--xi", dict(type=float, default=1.0, help="dimensionless time")),
+        ("--out", dict(default=None, help="output path (default: stdout)")),
+    )),
+    "oracle-check": ("closed forms vs brute-force oracles", (
+        ("--count", dict(type=int, default=100)),
+        ("--seed", dict(type=int, default=7)),
+        ("--out", dict(default=None, help="write the JSON report here")),
+    )),
+    "figures": ("emit plot-ready CSV datasets", _MODEL_OPTIONS + _GRID_OPTIONS + (
+        ("--out", dict(default=".", help="output directory")),
+    )),
 }
 
 
@@ -317,23 +309,46 @@ def _full_parser() -> _Parser:
     parser = _Parser(prog="fermicorr",
                      description="Two-qubit correlation dynamics in a 1D vacuum field")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_line))
+    for name, (help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
+def _parse_table(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a command followed by exact ``--flag value`` pairs,
+    read from _COMMANDS as argparse would read it; None for any other line.
+
+    A value that starts with "-" is left to argparse's negative-number rules,
+    and a value its type rejects, or a repeated once-only flag, to its error.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = dict(_COMMANDS[argv[0]][1])
+    values = {flag: kwargs.get("default") for flag, kwargs in options.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = options.get(flag)
+        if kwargs is None or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if kwargs.get("action") == "append":
+            value = [*(values[flag] or ()), value]
+        elif kwargs.get("action") is _Once and values[flag] is not kwargs["default"]:
+            return None
+        values[flag] = value
+    return argparse.Namespace(
+        command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line, with only the named command's parser if it names one."""
-    if not argv or argv[0] not in _COMMANDS:
-        return _full_parser().parse_args(argv)
-    parser = _Parser(prog=f"fermicorr {argv[0]}")
-    _COMMANDS[argv[0]][1](parser)
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        # the full tree reports a command's leftovers with the top-level usage
-        _full_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    """Parse a command line from the option table; the full argparse tree takes
+    every line the table route does not, and writes all help, usage and errors."""
+    args = _parse_table(argv)
+    return _full_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,7 @@
 """Amplitudes: the regularized two-point function, the closed-form second-order
 amplitudes, their cross-route consistency and the X-state assembly."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -419,10 +420,15 @@ def test_assemble_rejects_non_finite_amplitudes(field, value):
 
 def test_compute_amplitudes_rejects_overflow():
     # the unit amplitudes are checked before scaling, so coupling 0 does not
-    # turn an infinite integral into 0 * inf
-    for coupling in (0.0, 0.04):
-        with pytest.raises(ValueError, match="amplitude re_a must be finite, got -inf"):
-            compute_amplitudes(params(coupling=coupling), 1e308)
+    # turn an infinite integral into 0 * inf; the scaled ones are checked too,
+    # since K^2 g2 overflows at a finite coupling. Neither warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coupling in (0.0, 0.04):
+            with pytest.raises(ValueError, match="amplitude re_a must be finite, got -inf"):
+                compute_amplitudes(params(coupling=coupling), 1e308)
+        with pytest.raises(ValueError, match="amplitude g2 must be finite, got inf"):
+            compute_amplitudes(ModelParams(1.0, 1e200), 1.5)
 
 
 def test_assemble_out_of_regime():

@@ -1,5 +1,7 @@
 """CLI surface: sweep CSV, state dumps, oracle checks, figure datasets,
 exit codes and output determinism."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermicorr import ModelParams, assemble, cli, compute_amplitudes, report
 from fermicorr.amplitudes import XStateCoefficients
@@ -40,6 +44,7 @@ from fermicorr.oracles import DirectionGrid
 from conftest import load_state_dump, sweep_rows
 
 R_BAR = math.pi / 4.0
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def small_spec(couplings=(0.04, 0.02), steps=5, cutoff=50.0):
@@ -262,14 +267,16 @@ def test_sweep_and_state_leave_masked_arrays_and_random_unimported(tmp_path):
     # cut dedup avoids np.unique, which imports numpy.ma, and only
     # random_state needs numpy.random. The import alone must not load
     # numpy.random (10-20 ms): oracle-check pays it at its first random state,
-    # while at import time every command would pay it
+    # while at import time every command would pay it. A well-formed line
+    # builds no argparse parser, whose first message imports locale
+    modules = ("numpy.ma", "numpy.random", "locale")
     code = (
         "import sys\n"
         "from fermicorr.cli import main\n"
-        "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
         f"assert main(['sweep', '--xi-steps', '41', '--out', {str(tmp_path / 'a.csv')!r}]) == 0\n"
         f"assert main(['state', '--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
-        "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
     )
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -290,12 +297,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _parse_outcome(parse, argv, capsys):
-    try:
-        result = vars(parse(argv))
-    except SystemExit as exc:
-        result = exc.code
-    return result, capsys.readouterr()
+def _parse_outcome(parse, argv):
+    # repr tells nan, -0.0 and int from float apart, and makes nan equal itself
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = {name: repr(value) for name, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,15 +320,51 @@ def _parse_outcome(parse, argv, capsys):
     ["sweep", "--coupling", "0.02", "extra", "--xi-min", "0"],
     ["sweep", "-h"], ["state", "-h"], ["oracle-check", "-h"], ["figures", "-h"],
     ["--help"], [], ["bogus"], ["--", "state"],
+    ["sweep", "--xi-min", "-1"], ["state", "--out", "-"], ["state", "--xi", "1", "--xi", "2"],
+    ["sweep", "--coupling", "0.01", "--coupling", "0.02", "--coupling", "0.03"],
+    ["state", "--xi-steps", "5"],
 ])
-def test_command_parser_matches_full_parser(argv, capsys):
-    """The named command's parser alone parses as the full tree does: the same
-    namespace, or the same exit code, stdout and stderr."""
-    reference = _parse_outcome(lambda a: cli._full_parser().parse_args(a), argv, capsys)
-    assert _parse_outcome(cli._parse, argv, capsys) == reference
+def test_command_parser_matches_full_parser(argv):
+    """The table route parses as the full tree does: the same namespace, or
+    the same exit code, stdout and stderr."""
+    reference = _parse_outcome(lambda a: cli._full_parser().parse_args(a), argv)
+    assert _parse_outcome(cli._parse, argv) == reference
 
 
-def test_main_builds_only_the_named_parser(tmp_path, monkeypatch, capsys):
+_FLAGS = sorted({flag for _, options in cli._COMMANDS.values() for flag, _ in options})
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0", " 5 ", "", "-", "1_000", "0x10", "1e999"]),
+    st.text("-=.e0123456789abx ", max_size=5),
+)
+_TOKENS = st.one_of(
+    st.sampled_from([*_FLAGS, "-h", "--help", "--"]),
+    st.sampled_from(_FLAGS).flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k])),
+    st.tuples(st.sampled_from(_FLAGS), _VALUES).map("=".join),
+    _VALUES,
+)
+
+
+@st.composite
+def _command_lines(draw):
+    # flag-value pairs of the command, with any other tokens put in at one place
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    value = st.one_of(st.integers(0, 10**6).map(str), st.floats(0).map(repr), _VALUES)
+    pair = st.tuples(st.sampled_from([flag for flag, _ in cli._COMMANDS[command][1]]), value)
+    line = [token for flag_value in draw(st.lists(pair, max_size=4)) for token in flag_value]
+    at = draw(st.integers(0, len(line)))
+    return [command, *line[:at], *draw(st.just([]) | st.lists(_TOKENS, min_size=1, max_size=2)), *line[at:]]
+
+
+@PROPERTY
+@given(_command_lines())
+def test_table_route_matches_full_parser(argv):
+    reference = _parse_outcome(lambda a: cli._full_parser().parse_args(a), argv)
+    assert _parse_outcome(cli._parse, argv) == reference
+
+
+def test_main_builds_no_parser_for_a_well_formed_line(tmp_path, monkeypatch, capsys):
     built = []
     init = cli._Parser.__init__
 
@@ -327,9 +373,8 @@ def test_main_builds_only_the_named_parser(tmp_path, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    assert main(["state", "--out", str(tmp_path / "s.json")]) == 0
-    assert built == ["fermicorr state"]
-    built.clear()
+    assert main(["state", "--xi", "1.3", "--out", str(tmp_path / "s.json")]) == 0
+    assert built == []
     assert main(["--help"]) == 0
     assert len(built) == 1 + len(cli._COMMANDS)
     capsys.readouterr()
@@ -407,6 +452,7 @@ def test_extreme_inputs_fail_without_warnings(capsys, tmp_path, argv, code, mess
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(message)
+    assert len(err) < 120, err
 
 
 def test_state_cli_takes_one_coupling(capsys):
