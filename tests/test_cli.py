@@ -348,13 +348,17 @@ _TOKENS = st.one_of(
 
 @st.composite
 def _command_lines(draw):
-    # flag-value pairs of the command, with any other tokens put in at one place
+    # flag-value pairs of the command, drawn from a few of its flags so that
+    # flags repeat, with any other tokens put in at one place
     command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = [flag for flag, _ in cli._COMMANDS[command][1]]
+    used = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique=True))
     value = st.one_of(st.integers(0, 10**6).map(str), st.floats(0).map(repr), _VALUES)
-    pair = st.tuples(st.sampled_from([flag for flag, _ in cli._COMMANDS[command][1]]), value)
+    pair = st.tuples(st.sampled_from(used), value)
     line = [token for flag_value in draw(st.lists(pair, max_size=4)) for token in flag_value]
     at = draw(st.integers(0, len(line)))
-    return [command, *line[:at], *draw(st.just([]) | st.lists(_TOKENS, min_size=1, max_size=2)), *line[at:]]
+    others = draw(st.just([]) | st.lists(_TOKENS, min_size=1, max_size=2))
+    return [command, *line[:at], *others, *line[at:]]
 
 
 @PROPERTY
