@@ -24,19 +24,19 @@ inside the 1e-5 and 1e-4 Bell tolerances.
 Every objective is even in each measurement axis (a projective measurement
 along -n is the one along n, and the covariance and CHSH value change sign
 in pairs or not at all), so the coarse search runs on the antipodal half of
-the grid: the first half of the theta-major ``DirectionGrid.directions()``,
-which holds one direction of every antipodal pair because ``azimuth_steps``
-is even. :func:`_search` holds no coarse table: it keeps a running best over
-blocks of 48 rows, whose temporaries stay in cache; CHSH, symmetric in b and
-b', takes about the triangle b <= b' of each block. Two bounds drop the
-axes that cannot hold the coarse maximum: n^T W n' <= |W^T n| for unit n'
-(Cauchy-Schwarz), and |Tb + Tb'| + |Tb - Tb'| <= 2 sqrt(|Tb|^2 + M) with
-M = max |Tb'|^2. The floor is the best pair of the axis of largest bound, a
-value the grid attains. An axis goes only if its bound is below the floor
-by more than _PRUNE_SLACK, which exceeds the bounds' rounding and the Gram
-form's 1e-8, so each of its pairs scores strictly below that value. The
-kept axes stay in order, so the first row-major maximum and its axes are
-the full grid's.
+the grid, ``DirectionGrid.half``: the first half of the theta-major
+``DirectionGrid.directions``, which holds one direction of each antipodal
+pair, as ``azimuth_steps`` is even. :func:`_search` only maximizes and holds
+no coarse table: it keeps a running best over blocks of 48 rows, whose
+temporaries stay in cache; CHSH, symmetric in b and b', takes about the
+triangle b <= b' of each block. Two bounds drop the axes that cannot hold
+the coarse maximum: n^T W n' <= |W^T n| for unit n' (Cauchy-Schwarz), and
+|Tb + Tb'| + |Tb - Tb'| <= 2 sqrt(|Tb|^2 + M) with M = max |Tb'|^2. The
+floor is the best pair of the axis of largest bound, a value the grid
+attains. An axis goes only if its bound is below the floor by more than
+_PRUNE_SLACK = 1e-6, which exceeds the bounds' rounding and the Gram form's
+1e-8, so each of its pairs scores strictly below that value. The kept axes
+stay in order: the first row-major maximum is the full grid's.
 
 The amplitude oracle sums the emission weights and the pair coherence over
 field modes instead of integrating over time differences, which checks the
@@ -45,7 +45,7 @@ time-difference closed form of :mod:`fermicorr.amplitudes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -96,24 +96,28 @@ class DirectionGrid:
         if self.azimuth_steps < 48 or self.azimuth_steps % 2:
             raise ValueError(f"azimuth_steps must be even and >= 48, got {self.azimuth_steps}")
 
+    @cached_property
     def directions(self) -> np.ndarray:
-        """Coarse unit-vector grid with the exact poles: one read-only array per grid."""
-        return _grid_directions(self.polar_steps, self.azimuth_steps)
+        """Coarse unit-vector grid with the exact poles, theta-major: built
+        once per grid object, read-only."""
+        theta = np.linspace(0.0, np.pi, self.polar_steps)
+        phi = np.linspace(0.0, 2.0 * np.pi, self.azimuth_steps, endpoint=False)
+        tt, pp = np.meshgrid(theta, phi, indexing="ij")
+        st = np.sin(tt.ravel())
+        dirs = np.stack([st * np.cos(pp.ravel()), st * np.sin(pp.ravel()), np.cos(tt.ravel())], -1)
+        dirs.flags.writeable = False
+        return dirs
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """First half of ``directions``: the polar rows from the north pole
+        down, plus half of the equator row when the row count is odd. With
+        an even azimuth count it holds one direction of every antipodal pair."""
+        return self.directions[: len(self.directions) // 2]
 
     def initial_window(self) -> float:
         """Tangent-plane half-width covering one coarse grid cell."""
         return np.pi / (self.polar_steps - 1) + 2.0 * np.pi / self.azimuth_steps
-
-
-@lru_cache(maxsize=4)
-def _grid_directions(polar_steps: int, azimuth_steps: int) -> np.ndarray:
-    theta = np.linspace(0.0, np.pi, polar_steps)
-    phi = np.linspace(0.0, 2.0 * np.pi, azimuth_steps, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    st = np.sin(tt.ravel())
-    dirs = np.stack([st * np.cos(pp.ravel()), st * np.sin(pp.ravel()), np.cos(tt.ravel())], -1)
-    dirs.flags.writeable = False
-    return dirs
 
 
 def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
@@ -128,9 +132,8 @@ def _tangent_mesh(center: np.ndarray, half_width: float) -> np.ndarray:
     return dirs / np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))
 
 
-def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0,
-            symmetric: bool = False):
-    """Maximize ``sign * objective`` over one measurement axis per batch.
+def _search(objective, coarse_batches, grid: DirectionGrid, symmetric: bool = False):
+    """Maximize ``objective`` over one measurement axis per batch.
 
     ``objective`` maps k direction batches to an array with one axis per
     batch. The coarse step evaluates it on ``coarse_batches``, _COARSE_ROWS
@@ -143,15 +146,14 @@ def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0,
     far. A round whose best point improves on the outer ring of a mesh moves
     there and doubles w, up to its start of one grid cell; any other round
     keeps an improvement and quarters w. The search ends once
-    w < _WINDOW_FLOOR, or after _MAX_ROUNDS rounds. sign = -1 minimizes (by
-    argmin: the first maximum of the exact negation). Returns (value, axes):
-    the best value of ``objective`` itself and a list of its k axes.
+    w < _WINDOW_FLOOR, or after _MAX_ROUNDS rounds. Returns (value, axes):
+    the best value and a list of its k axes.
     """
     def best_of(batches):
         vals = objective(*batches)
-        flat = int(vals.argmax() if sign > 0 else vals.argmin())
+        flat = int(vals.argmax())
         idx = divmod(flat, vals.shape[1]) if vals.ndim == 2 else (flat,)
-        return sign * vals[idx], [batch[i] for batch, i in zip(batches, idx)], idx
+        return vals[idx], [batch[i] for batch, i in zip(batches, idx)], idx
 
     first, *rest = coarse_batches
     rows = _COARSE_ROWS if rest else len(first)
@@ -170,15 +172,7 @@ def _search(objective, coarse_batches, grid: DirectionGrid, sign: float = 1.0,
         w = min(2.0 * w, w_max) if improved and not _MESH_RING.isdisjoint(idx) else 0.25 * w
         if w < _WINDOW_FLOOR:
             break
-    return sign * float(best), axes
-
-
-def _antipodal_half(dirs: np.ndarray) -> np.ndarray:
-    """First half of a theta-major direction grid: the polar rows from the
-    north pole down, plus half of the equator row when the row count is odd.
-    With the even azimuth count of a DirectionGrid it holds one direction of
-    every antipodal pair of the grid."""
-    return dirs[: len(dirs) // 2]
+    return float(best), axes
 
 
 def _moments(rho: np.ndarray):
@@ -214,24 +208,22 @@ def discord_bruteforce(rho: np.ndarray, grid: DirectionGrid) -> float:
     Minimizes 2 ||rho - Pi_n(rho)||_2^2 over the Bloch axis n of a projective
     measurement on the first qubit, by coarse search over the antipodal half
     of the grid plus tangent-plane refinement. Grid search can only overshoot
-    a minimum, so the result brackets the closed form from above.
+    a minimum, so the result brackets the closed form from above. The search
+    maximizes the exact negation of the residual.
     """
     form = _residual_form(validate_state(rho))
-    coarse = [_antipodal_half(grid.directions())]
-    return _search(lambda dirs: _measurement_residual(form, dirs), coarse, grid, -1.0)[0]
+    return -_search(lambda dirs: -_measurement_residual(form, dirs), [grid.half], grid)[0]
 
 
-def _pair_covariance(moments, dirs_a, dirs_b):
+def _pair_covariance(w, dirs_a, dirs_b):
     """cov(n, n') = <(s.n)(s.n')> - <s.n><s.n'> = n^T W n' for direction
     batches, with W = T - x y^T from the moments (T, x, y) of :func:`_moments`."""
-    corr, x, y = moments
-    return (dirs_a @ (corr - np.outer(x, y))) @ dirs_b.T
+    return (dirs_a @ w) @ dirs_b.T
 
 
-def _covariance_rows(moments, half, dirs):
+def _covariance_rows(w, half, dirs):
     """Rows n of ``half`` whose bound |W^T n| reaches the coarse floor."""
-    corr, x, y = moments
-    rows = half @ (corr - np.outer(x, y))
+    rows = half @ w
     bound = np.sqrt(np.einsum("mi,mi->m", rows, rows))
     return half[bound >= (rows[bound.argmax()] @ dirs.T).max() - _PRUNE_SLACK]
 
@@ -245,11 +237,11 @@ def maxcorr_bruteforce(
     cov(-n, -n') = cov(n, n'). Returns (value, n, n') with n, n' the
     maximizing measurement axes of the first and second qubit.
     """
-    moments = _moments(validate_state(rho))
-    dirs = grid.directions()
-    rows = _covariance_rows(moments, _antipodal_half(dirs), dirs)
-    value, (n, n_prime) = _search(lambda a, b: _pair_covariance(moments, a, b),
-                                  [rows, dirs], grid)
+    corr, x, y = _moments(validate_state(rho))
+    w = corr - np.outer(x, y)
+    rows = _covariance_rows(w, grid.half, grid.directions)
+    value, (n, n_prime) = _search(lambda a, b: _pair_covariance(w, a, b),
+                                  [rows, grid.directions], grid)
     return value, n, n_prime
 
 
@@ -296,20 +288,33 @@ def chsh_gridopt(rho: np.ndarray, grid: DirectionGrid) -> float:
     from the state.
     """
     corr = _moments(validate_state(rho))[0]
-    dirs = _chsh_axes(corr, _antipodal_half(grid.directions()))
+    dirs = _chsh_axes(corr, grid.half)
     return _search(lambda b, bp: _chsh_value(corr, b, bp), [dirs, dirs], grid,
                    symmetric=True)[0]
 
 
-def _mode_integrals(tau: float, r_bar: float, cutoff: float):
-    """u2 and v2 at unit coupling and the mode sum of cos(k r_bar) P conj(M)."""
-    kmax = _MODE_RANGE * cutoff
+def mode_sum_amplitudes(p: ModelParams, xi: float) -> tuple[float, float, complex]:
+    """Emission weights u2, v2 and pair coherence L by a sum over field modes.
+
+    u2 = 2K int_0^inf k e^{-k/cutoff} sin^2((k-1) tau/2) / (k-1)^2 dk and v2
+    the same with k+1 in place of k-1 (tau = xi * r_bar); L is minus the
+    mode sum of cos(k r_bar) times the product P conj(M) of the per-mode
+    counter-rotating and rotating emission amplitudes. One fixed Gauss rule
+    sums them at unit coupling, 8 nodes on each panel of width 0.3 over
+    (0, 40*cutoff), and K multiplies the sums last. This is an independent
+    route to the values that :func:`fermicorr.amplitudes.compute_amplitudes`
+    gets in closed form over time differences.
+    """
+    tau = xi * p.r_bar
+    if tau <= 0.0:
+        return 0.0, 0.0, 0.0j
+    kmax = _MODE_RANGE * p.cutoff
     cuts = np.linspace(0.0, kmax, int(np.ceil(kmax / _MODE_PANEL_WIDTH)) + 1)
     x, w = leggauss(_MODE_PANEL_ORDER)
     mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     om = (mid + half * x[None, :]).ravel()
-    base = om * np.exp(-om / cutoff) * (half * w[None, :]).ravel()
+    base = om * np.exp(-om / p.cutoff) * (half * w[None, :]).ravel()
     # Gauss nodes never land exactly on the resonance om = 1
     inv_m = 1.0 / (om - 1.0)
     inv_p = 1.0 / (om + 1.0)
@@ -326,24 +331,5 @@ def _mode_integrals(tau: float, r_bar: float, cutoff: float):
     # the numerator must stay fused so its zero at om = 1 cancels per node
     eit = np.exp(1j * tau)
     numer = (eit - 1.0) ** 2 + 4.0 * eit * s**2
-    pair_mode = complex(0.5 * np.sum(base * np.cos(om * r_bar) * inv_m * inv_p * numer))
-    return u2, v2, pair_mode
-
-
-def mode_sum_amplitudes(p: ModelParams, xi: float) -> tuple[float, float, complex]:
-    """Emission weights u2, v2 and pair coherence L by a sum over field modes.
-
-    u2 = 2K int_0^inf k e^{-k/cutoff} sin^2((k-1) tau/2) / (k-1)^2 dk and v2
-    the same with k+1 in place of k-1 (tau = xi * r_bar); L is minus the
-    mode sum of cos(k r_bar) times the product P conj(M) of the per-mode
-    counter-rotating and rotating emission amplitudes. One fixed Gauss rule
-    sums them: 8 nodes on each panel of width 0.3 over (0, 40*cutoff).
-    This is an independent route to the values that
-    :func:`fermicorr.amplitudes.compute_amplitudes` gets in closed form over
-    time differences.
-    """
-    tau = xi * p.r_bar
-    if tau <= 0.0:
-        return 0.0, 0.0, 0.0j
-    u2, v2, pair_mode = _mode_integrals(tau, p.r_bar, p.cutoff)
+    pair_mode = complex(0.5 * np.sum(base * np.cos(om * p.r_bar) * inv_m * inv_p * numer))
     return p.coupling * u2, p.coupling * v2, -p.coupling * pair_mode

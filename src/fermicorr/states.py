@@ -10,10 +10,10 @@ import numpy as np
 
 BASIS_LABELS = ("ee", "eg", "ge", "gg")
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_x, sigma_y, sigma_z
+PAULI = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+         np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+         np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 HERMITICITY_ATOL = 1e-12

@@ -212,26 +212,6 @@ def test_report_initial_point():
     assert rep["hierarchy_ok"] is True
 
 
-def test_hierarchy_on_random_states():
-    for seed in range(2000):
-        rho = random_state(seed, "mixed")
-        c = connected_correlation(rho)
-        sd = math.sqrt(geometric_discord(rho))
-        n = negativity(rho)
-        assert c >= sd - 1e-9
-        assert sd >= n - 1e-9
-
-
-def test_pure_state_saturation():
-    for seed in range(200):
-        rho = random_state(seed, "pure")
-        c = connected_correlation(rho)
-        sd = math.sqrt(geometric_discord(rho))
-        n = negativity(rho)
-        assert abs(c - sd) < 1e-8
-        assert abs(sd - n) < 1e-8
-
-
 def _random_local_unitary(rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(m)

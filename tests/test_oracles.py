@@ -1,5 +1,7 @@
 """Brute-force oracles against the closed-form measures."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,9 @@ from fermicorr.cli import oracle_check
 from fermicorr.measures import bell_opt
 from fermicorr.oracles import (
     DirectionGrid,
-    _antipodal_half,
     _chsh_axes,
     _chsh_value,
     _covariance_rows,
-    _grid_directions,
     _measurement_residual,
     _moments,
     _pair_covariance,
@@ -32,6 +32,7 @@ from fermicorr.states import IDENTITY_2, PAULI
 from conftest import bell_projector
 
 GRID = DirectionGrid()
+GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 states = st.builds(
@@ -66,27 +67,24 @@ def test_direction_grid_validation():
 
 
 def test_direction_grid_includes_poles():
-    dirs = GRID.directions()
+    dirs = GRID.directions
     assert np.any(np.all(np.abs(dirs - [0.0, 0.0, 1.0]) < 1e-15, axis=1))
     assert np.any(np.all(np.abs(dirs - [0.0, 0.0, -1.0]) < 1e-15, axis=1))
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
 
 
 def test_directions_built_once_per_grid_and_read_only():
-    dirs = GRID.directions()
-    assert DirectionGrid().directions() is dirs
-    assert not dirs.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        dirs[0, 0] = 0.0
-    assert DirectionGrid(polar_steps=25).directions() is not dirs
-
-
-def test_directions_cache_is_bounded():
-    bound = _grid_directions.cache_info().maxsize
-    assert bound == 4
-    for steps in range(24, 24 + 2 * bound):
-        DirectionGrid(polar_steps=steps).directions()
-    assert _grid_directions.cache_info().currsize == bound
+    grid = DirectionGrid()
+    dirs, half = grid.directions, grid.half
+    assert grid.directions is dirs and grid.half is half
+    for array in (dirs, half):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    # another grid object builds its own array, equal for equal fields
+    assert DirectionGrid().directions is not dirs
+    assert np.array_equal(DirectionGrid().directions, dirs)
+    assert DirectionGrid(polar_steps=25).directions.shape == (25 * 48, 3)
 
 
 def test_discord_bruteforce_product_state():
@@ -183,6 +181,12 @@ def test_oracles_deterministic():
     assert chsh_gridopt(rho, GRID) == chsh_gridopt(rho, GRID)
 
 
+def _covariance_matrix(rho):
+    """W = T - x y^T from the Pauli moments of ``rho``."""
+    corr, x, y = _moments(rho)
+    return corr - np.outer(x, y)
+
+
 def _axis_operator(n):
     return sum(c * s for c, s in zip(n, PAULI))
 
@@ -195,7 +199,7 @@ def test_pair_covariance_matches_operator_definition():
             v / np.linalg.norm(v, axis=1, keepdims=True)
             for v in rng.standard_normal((2, 6, 3))
         )
-        cov = _pair_covariance(_moments(rho), dirs_a, dirs_b)
+        cov = _pair_covariance(_covariance_matrix(rho), dirs_a, dirs_b)
         for i, n in enumerate(dirs_a):
             sn = _axis_operator(n)
             for j, m in enumerate(dirs_b):
@@ -232,37 +236,35 @@ def test_chsh_gram_form_cancellation_at_parallel_axes(rho, b, sign):
 @given(rho=states, n=axes, nprime=axes)
 def test_oracle_objectives_even_in_each_axis(rho, n, nprime):
     n, nprime = n[None], nprime[None]
-    moments = _moments(rho)
+    corr, w = _moments(rho)[0], _covariance_matrix(rho)
     form = _residual_form(rho)
     residual = _measurement_residual(form, n)
     assert abs(_measurement_residual(form, -n) - residual)[0] <= 1e-14
-    cov = _pair_covariance(moments, n, nprime)
-    assert abs(_pair_covariance(moments, -n, -nprime) - cov)[0, 0] <= 1e-14
-    chsh = _chsh_value(moments[0], n, nprime)
-    assert abs(_chsh_value(moments[0], -n, nprime) - chsh)[0, 0] <= 1e-14
-    assert abs(_chsh_value(moments[0], n, -nprime) - chsh)[0, 0] <= 1e-14
+    cov = _pair_covariance(w, n, nprime)
+    assert abs(_pair_covariance(w, -n, -nprime) - cov)[0, 0] <= 1e-14
+    chsh = _chsh_value(corr, n, nprime)
+    assert abs(_chsh_value(corr, -n, nprime) - chsh)[0, 0] <= 1e-14
+    assert abs(_chsh_value(corr, n, -nprime) - chsh)[0, 0] <= 1e-14
 
 
 @pytest.mark.parametrize("grid", [GRID, DirectionGrid(polar_steps=25, azimuth_steps=50)])
 def test_antipodal_half_holds_one_of_each_pair(grid):
-    dirs = grid.directions()
-    half = _antipodal_half(dirs)
+    dirs, half = grid.directions, grid.half
     assert 2 * len(half) == len(dirs)
     mirror = np.linalg.norm(dirs[len(half):, None, :] + half[None, :, :], axis=-1)
     assert mirror.min(axis=1).max() <= 1e-15
 
 
 def test_half_grid_coarse_optimum_equals_full_grid():
-    dirs = GRID.directions()
-    half = _antipodal_half(dirs)
+    dirs, half = GRID.directions, GRID.half
     for seed in range(30):
         rho = random_state(seed, "mixed")
-        moments, form = _moments(rho), _residual_form(rho)
+        w, form = _covariance_matrix(rho), _residual_form(rho)
         assert abs(
             _measurement_residual(form, half).min() - _measurement_residual(form, dirs).min()
         ) <= 1e-14
         assert abs(
-            _pair_covariance(moments, half, dirs).max() - _pair_covariance(moments, dirs, dirs).max()
+            _pair_covariance(w, half, dirs).max() - _pair_covariance(w, dirs, dirs).max()
         ) <= 1e-14
         corr = _moments(random_state(seed, "xshape"))[0]
         assert abs(_chsh_value(corr, half, half).max() - _chsh_value(corr, dirs, dirs).max()) <= 1e-14
@@ -319,29 +321,28 @@ def test_pruned_coarse_pick_equals_full_grid(monkeypatch):
     # where |Tb| is 0.3 on the equator; without the slack, rounding drops the
     # first maximum's row or axis on these two.
     monkeypatch.setattr(oracles, "_MAX_ROUNDS", 0)
-    dirs = GRID.directions()
-    half = _antipodal_half(dirs)
+    dirs, half = GRID.directions, GRID.half
     seeds = sorted(set(range(300)) | set(REGRESSION_SEEDS))
     dephased = np.eye(4, dtype=complex) / 4.0
     dephased[0, 3] = dephased[3, 0] = 0.15
     werner = 0.4 * bell_projector() + (1.0 - 0.4) / 4.0 * np.eye(4, dtype=complex)
     ties = [bell_projector(), pure_product_state(), np.eye(4) / 4.0 + 0j, werner, dephased]
     for rho in [random_state(s, kind) for s in seeds for kind in ("mixed", "xshape")] + ties:
-        moments = _moments(rho)
+        corr, w = _moments(rho)[0], _covariance_matrix(rho)
 
         def covariance(a, b):
-            return _pair_covariance(moments, a, b)
+            return _pair_covariance(w, a, b)
 
-        value, axes = _search(covariance, [_covariance_rows(moments, half, dirs), dirs], GRID)
+        value, axes = _search(covariance, [_covariance_rows(w, half, dirs), dirs], GRID)
         ref_value, ref_axes = _search(covariance, [half, dirs], GRID)
         # a pruned block can round n W one ulp apart from a full one
         assert abs(value - ref_value) <= 1e-15
         assert np.array_equal(np.stack(axes), np.stack(ref_axes))
 
         def chsh(b, bp):
-            return _chsh_value(moments[0], b, bp)
+            return _chsh_value(corr, b, bp)
 
-        kept = _chsh_axes(moments[0], half)
+        kept = _chsh_axes(corr, half)
         value, axes = _search(chsh, [kept, kept], GRID, symmetric=True)
         ref_value, ref_axes = _search(chsh, [half, half], GRID, symmetric=True)
         assert value == ref_value
@@ -350,15 +351,16 @@ def test_pruned_coarse_pick_equals_full_grid(monkeypatch):
 
 @pytest.mark.parametrize("seed", REGRESSION_SEEDS)
 def test_oracles_match_reference_objectives(seed):
-    dirs = GRID.directions()
-    half = _antipodal_half(dirs)
+    dirs, half = GRID.directions, GRID.half
     rho = random_state(seed, "mixed")
-    ref_value, (ref_n,) = _search(lambda d: _residual_reference(rho, d), [half], GRID, -1.0)
+    # the discord is a minimum: the search maximizes the negated residual
+    ref_value, (ref_n,) = _search(lambda d: -_residual_reference(rho, d), [half], GRID)
     form = _residual_form(rho)
-    value, (n,) = _search(lambda d: _measurement_residual(form, d), [half], GRID, -1.0)
-    assert abs(value - ref_value) <= 1e-14
+    value, (n,) = _search(lambda d: -_measurement_residual(form, d), [half], GRID)
+    discord, ref_discord = -value, -ref_value
+    assert abs(discord - ref_discord) <= 1e-14
     assert np.abs(n - ref_n).max() <= 1e-12
-    assert abs(discord_bruteforce(rho, GRID) - ref_value) <= 1e-14
+    assert abs(discord_bruteforce(rho, GRID) - ref_discord) <= 1e-14
 
     moments = _moments(rho)
     ref_value, ref_axes = _search(lambda a, b: _covariance_reference(moments, a, b),
@@ -410,3 +412,16 @@ def test_coarse_search_keeps_first_row_major_maximum(symmetric):
     first = np.unravel_index(int(np.argmax(table)), table.shape)
     assert first == ((60, 150) if symmetric else (60, 10))
     assert _coarse_pick(table, dirs, symmetric) == (9.0, first)
+
+
+def test_oracles_match_golden_values():
+    # discord, maxcorr (value and axes) and CHSH of 40 seeded states, as the
+    # oracles gave them when this file was written
+    for row in json.loads(GOLDEN.read_text()):
+        rho = random_state(row["seed"], row["kind"])
+        value, n, n_prime = maxcorr_bruteforce(rho, GRID)
+        assert abs(discord_bruteforce(rho, GRID) - row["discord"]) <= 1e-12
+        assert abs(value - row["maxcorr"]) <= 1e-12
+        assert np.abs(n - row["n"]).max() <= 1e-12
+        assert np.abs(n_prime - row["n_prime"]).max() <= 1e-12
+        assert abs(chsh_gridopt(rho, GRID) - row["chsh"]) <= 1e-12
